@@ -19,6 +19,7 @@ Verified entries are re-verified on load; a mismatch is a hard failure.
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -68,13 +69,24 @@ def _parse_ints(text: str, lineno: int) -> tuple[int, ...]:
         raise CatalogParseError(lineno, f"expected integers, got {text!r}")
 
 
-def _materialize(entry: CatalogEntry, by_id: dict[str, CatalogEntry]) -> None:
+def materialize(
+    entry: CatalogEntry, entries: list[CatalogEntry]
+) -> Optional[sds.DifferenceFamily]:
+    """Build a verified entry's family, check it at the declared lambda, and
+    store it as entry.family (also returned).
+
+    A compose target is resolved among the entries that precede `entry` in
+    `entries` (all of them when `entry` is not in the list) and is
+    materialized first if it has no family yet.  Entries of other statuses
+    carry no data and get no family.  Missing, malformed or failing data
+    raises CatalogIntegrityError naming the entry.
+    """
     if entry.status != "verified":
         if entry.encoding != "none":
             raise CatalogIntegrityError(
                 f"entry {entry.id}: status {entry.status} must not carry data"
             )
-        return
+        return None
     if entry.blocks is not None:
         fam = sds.DifferenceFamily.from_sets(entry.params.v, entry.blocks)
     elif entry.orbit is not None:
@@ -86,7 +98,10 @@ def _materialize(entry: CatalogEntry, by_id: dict[str, CatalogEntry]) -> None:
             )
         fam = search.expand(search.OrbitSelection(osys, reps))
     elif entry.compose is not None:
-        base = by_id.get(entry.compose)
+        earlier = itertools.takewhile(lambda e: e is not entry, entries)
+        base = next((e for e in earlier if e.id == entry.compose), None)
+        if base is not None and base.family is None:
+            materialize(base, entries)
         if base is None or base.family is None:
             raise CatalogIntegrityError(
                 f"entry {entry.id}: compose target {entry.compose!r} "
@@ -107,6 +122,7 @@ def _materialize(entry: CatalogEntry, by_id: dict[str, CatalogEntry]) -> None:
             f"{entry.params.lam} (worst deviation {report.worst_deviation})"
         )
     entry.family = fam
+    return fam
 
 
 def load_catalog(source, verify: bool = True) -> list[CatalogEntry]:
@@ -120,7 +136,7 @@ def load_catalog(source, verify: bool = True) -> list[CatalogEntry]:
     if isinstance(source, str):
         source = io.StringIO(source)
     entries: list[CatalogEntry] = []
-    by_id: dict[str, CatalogEntry] = {}
+    ids: set[str] = set()
     cur: Optional[dict] = None
     pending_reps: Optional[list[tuple[int, ...]]] = None
 
@@ -194,12 +210,12 @@ def load_catalog(source, verify: bool = True) -> list[CatalogEntry]:
             )
             if sum(x is not None for x in (entry.blocks, entry.orbit, entry.compose)) > 1:
                 raise CatalogParseError(lineno, "entry has multiple encodings")
-            if entry.id in by_id:
+            if entry.id in ids:
                 raise CatalogParseError(lineno, f"duplicate id {entry.id!r}")
             if verify:
-                _materialize(entry, by_id)
+                materialize(entry, entries)
             entries.append(entry)
-            by_id[entry.id] = entry
+            ids.add(entry.id)
             cur = None
             pending_reps = None
         else:

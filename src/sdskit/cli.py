@@ -26,26 +26,30 @@ EXIT_HADAMARD_FAIL = 4
 EXIT_TABLE_MISMATCH = 5
 
 
-def _load_entries():
-    return catalog.load_default(verify=True)
+def _read_corpus(path):
+    """Parse a corpus-format file, which must be ASCII, without verifying
+    its entries."""
+    with open(path, encoding="ascii") as fh:
+        return catalog.load_catalog(fh.read(), verify=False)
 
 
-def _resolve_families(args_ids, entries=None):
+def _resolve_families(tokens):
     """Map catalog ids or corpus-format file paths to (label, family)."""
     out = []
-    for token in args_ids:
+    corpus = None
+    for token in tokens:
         if "/" in token or token.endswith(".txt"):
-            loaded = catalog.load_catalog(open(token).read(), verify=False)
-            for e in loaded:
-                catalog._materialize(e, {x.id: x for x in loaded})
-                out.append((f"{token}:{e.id}", e.family))
+            entries = _read_corpus(token)
+            picked = [(f"{token}:{e.id}", e) for e in entries]
         else:
-            if entries is None:
-                entries = _load_entries()
-            e = catalog.entry_by_id(entries, token)
-            if e.family is None:
-                raise ValueError(f"entry {token} carries no block data")
-            out.append((token, e.family))
+            if corpus is None:
+                corpus = catalog.load_default(verify=False)
+            entries = corpus
+            picked = [(token, catalog.entry_by_id(corpus, token))]
+        for label, e in picked:
+            if catalog.materialize(e, entries) is None:
+                raise ValueError(f"entry {e.id} carries no block data")
+            out.append((label, e.family))
     return out
 
 
@@ -74,36 +78,34 @@ def cmd_verify(args) -> int:
     try:
         if args.id:
             entries = catalog.load_default(verify=False)
-            targets = []
-            for eid in args.id:
-                e = catalog.entry_by_id(entries, eid)
-                targets.append((eid, e))
+            targets = [catalog.entry_by_id(entries, eid) for eid in args.id]
         else:
-            loaded = catalog.load_catalog(open(args.file).read(), verify=False)
-            targets = [(e.id, e) for e in loaded]
-    except (KeyError, OSError, catalog.CatalogParseError) as exc:
+            entries = targets = _read_corpus(args.file)
+    except (KeyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    by_id = {e.id: e for _, e in targets}
     status = EXIT_OK
-    for label, e in targets:
+    for e in targets:
         if e.status != "verified":
-            print(f"{label}: SKIP (status {e.status}, no data)")
+            print(f"{e.id}: SKIP (status {e.status}, no data)")
             continue
         try:
-            catalog._materialize(e, by_id)
+            fam = catalog.materialize(e, entries)
         except catalog.CatalogIntegrityError as exc:
-            print(f"{label}: FAIL ({exc})")
+            print(f"{e.id}: FAIL ({exc})")
             status = EXIT_VERIFY_FAIL
             continue
-        lam = args.lam if args.lam is not None else e.params.lam
-        report = sds.verify_sds(e.family, lam)
+        # materialize has verified the family at its declared lambda
+        if args.lam is None:
+            print(f"{e.id}: PASS lambda={e.params.lam}")
+            continue
+        report = sds.verify_sds(fam, args.lam)
         if report.ok:
-            print(f"{label}: PASS lambda={lam}")
+            print(f"{e.id}: PASS lambda={args.lam}")
         else:
             hist = sorted(set(report.histogram[1:]))
             print(
-                f"{label}: FAIL lambda={lam} worst deviation "
+                f"{e.id}: FAIL lambda={args.lam} worst deviation "
                 f"{report.worst_deviation}, count values {hist}"
             )
             status = EXIT_VERIFY_FAIL
@@ -111,12 +113,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    sizes = tuple(int(t) for t in args.sizes.split(","))
     seed = args.seed
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)
         print(f"seed: {seed} (pass --seed {seed} to reproduce)")
     try:
+        sizes = tuple(int(t) for t in args.sizes.split(","))
         if args.skew_gs:
             sels = search.search_skew_gs(
                 args.v, sizes, args.q, budget=args.budget, seed=seed,
@@ -209,7 +211,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    entries = _load_entries()
+    entries = catalog.load_default(verify=True)
     rows = catalog.table1_report(entries)
     if args.format == "json":
         print(

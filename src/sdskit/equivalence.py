@@ -9,6 +9,7 @@ as a sorted residue list, blocks ordered by (size descending, list).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import sds
@@ -75,7 +76,7 @@ def canonical_form(f: sds.DifferenceFamily) -> CanonicalForm:
     member_lists = [list(b.members()) for b in f.blocks]
     best = None
     for m in range(1, v):
-        if v > 1 and _gcd(m, v) != 1:
+        if v > 1 and math.gcd(m, v) != 1:
             continue
         cand = []
         for members in member_lists:
@@ -88,12 +89,6 @@ def canonical_form(f: sds.DifferenceFamily) -> CanonicalForm:
     if best is None:  # no blocks or v too small to matter
         best = ()
     return CanonicalForm(v, best)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def are_equivalent(f1: sds.DifferenceFamily, f2: sds.DifferenceFamily) -> bool:

@@ -13,17 +13,6 @@ from .sds import Block, DifferenceFamily
 
 
 @dataclass(frozen=True)
-class SignSequence:
-    """A +-1 sequence of length v; bit i set encodes -1 at position i."""
-
-    v: int
-    bits: int
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(-1 if (self.bits >> i) & 1 else 1 for i in range(self.v))
-
-
-@dataclass(frozen=True)
 class SignMatrix:
     """A square +-1 matrix with packed rows (bit j of row i = entry -1)."""
 
@@ -40,82 +29,48 @@ class SignMatrix:
         return out
 
 
-def associated_sequence(b: Block) -> SignSequence:
-    """The +-1 sequence with -1 exactly on block members."""
-    return SignSequence(b.v, b.mask)
+def goethals_seidel(a0: Block, a1: Block, a2: Block, a3: Block) -> SignMatrix:
+    """Assemble the 4v x 4v Goethals-Seidel array from four blocks over Z_v.
 
+    Block a_i is the +-1 first row of a circulant Z_i (set bit = -1), R is
+    the back-diagonal permutation and ' the transpose:
 
-def _rotl(x: int, r: int, v: int) -> int:
-    r %= v
-    if r == 0:
-        return x
-    return ((x << r) | (x >> (v - r))) & ((1 << v) - 1)
+        [  Z0     Z1 R    Z2 R    Z3 R  ]
+        [ -Z1 R   Z0     -Z3'R    Z2'R  ]
+        [ -Z2 R   Z3'R    Z0     -Z1'R  ]
+        [ -Z3 R  -Z2'R    Z1'R    Z0    ]
 
-
-def _bit_reverse(x: int, v: int) -> int:
-    """Reverse the low v bits (bit j -> bit v-1-j)."""
-    return int(f"{x:0{v}b}"[::-1], 2) if v else 0
-
-
-def _circulant(bits: int, v: int) -> list[int]:
-    """Rows of the circulant with the given first row: row r entry c is
-    bits[(c - r) mod v]."""
-    return [_rotl(bits, r, v) for r in range(v)]
-
-
-def _seq_reverse(bits: int, v: int) -> int:
-    """First row of the transpose of circulant(bits): index i -> (v-i) mod v."""
-    out = bits & 1
-    for i in range(1, v):
-        if (bits >> i) & 1:
-            out |= 1 << (v - i)
-    return out
-
-
-def goethals_seidel(
-    a0: SignSequence, a1: SignSequence, a2: SignSequence, a3: SignSequence
-) -> SignMatrix:
-    """Assemble the 4v x 4v Goethals-Seidel block matrix from four length-v
-    sequences (circulants Z_i, back-diagonal R applied as column reversal)."""
+    Row r of Z_i is a_i translated by r, row r of Z_i R is -a_i translated
+    by -1-r, and row r of Z_i'R is a_i translated by -1-r.
+    """
     v = a0.v
     if not (a1.v == a2.v == a3.v == v):
-        raise ValueError("all four sequences must share one length")
-    neg_mask = (1 << v) - 1
+        raise ValueError("all four blocks must share one modulus")
+    full = (1 << v) - 1
 
-    def circ(a):
-        return _circulant(a.bits, v)
+    def rows(b, start, step):
+        return [b.translate(start + step * r).mask for r in range(v)]
 
-    def circ_t(a):
-        return _circulant(_seq_reverse(a.bits, v), v)
+    def neg(block):
+        return [row ^ full for row in block]
 
-    def right_r(rows):
-        return [_bit_reverse(r, v) for r in rows]
-
-    def neg(rows):
-        return [r ^ neg_mask for r in rows]
-
-    z0 = circ(a0)
-    z1r = right_r(circ(a1))
-    z2r = right_r(circ(a2))
-    z3r = right_r(circ(a3))
-    z1tr = right_r(circ_t(a1))
-    z2tr = right_r(circ_t(a2))
-    z3tr = right_r(circ_t(a3))
-
+    z0 = rows(a0, 0, 1)
+    z1r, z2r, z3r = (rows(a.negate(), -1, -1) for a in (a1, a2, a3))
+    z1tr, z2tr, z3tr = (rows(a, -1, -1) for a in (a1, a2, a3))
     grid = [
         [z0, z1r, z2r, z3r],
         [neg(z1r), z0, neg(z3tr), z2tr],
         [neg(z2r), z3tr, z0, neg(z1tr)],
         [neg(z3r), neg(z2tr), z1tr, z0],
     ]
-    rows = []
-    for bi in range(4):
+    out = []
+    for block_row in grid:
         for r in range(v):
             row = 0
-            for bj in range(4):
-                row |= grid[bi][bj][r] << (bj * v)
-            rows.append(row)
-    return SignMatrix(4 * v, tuple(rows))
+            for bj, block in enumerate(block_row):
+                row |= block[r] << (bj * v)
+            out.append(row)
+    return SignMatrix(4 * v, tuple(out))
 
 
 def is_hadamard(m: SignMatrix) -> bool:
@@ -169,8 +124,9 @@ def build_skew_hadamard(
             f"blocks are not an SDS at lambda={lam0} "
             f"(worst deviation {report.worst_deviation})"
         )
-    m = goethals_seidel(*(associated_sequence(x) for x in fam.blocks))
-    assert is_skew_hadamard(m)
+    m = goethals_seidel(*fam.blocks)
+    if not is_skew_hadamard(m):
+        raise BuildError("assembled matrix failed the skew-Hadamard check")
     return m
 
 

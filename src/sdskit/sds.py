@@ -19,10 +19,16 @@ def _rotl(x: int, r: int, v: int) -> int:
     return ((x << r) | (x >> (v - r))) & mask
 
 
+def _reverse(x: int, v: int) -> int:
+    """Reverse the low v bits of x (bit i -> bit v-1-i)."""
+    return int(f"{x:0{v}b}"[::-1], 2)
+
+
 @dataclass(frozen=True)
 class Block:
     """A subset of Z_v stored as a packed bit-vector (bit i set iff i is a
-    member)."""
+    member).  The mask doubles as the +-1 first row of the block's
+    circulant, with a set bit standing for -1."""
 
     v: int
     mask: int
@@ -61,7 +67,9 @@ class Block:
         return Block.from_iterable(self.v, (m * x for x in self.members()))
 
     def negate(self) -> "Block":
-        return self.scale(self.v - 1)
+        """The block {-x mod v : x in this block}: reversing the bits maps
+        i to v-1-i, and one more rotation maps that to v-i."""
+        return Block(self.v, _rotl(_reverse(self.mask, self.v), 1, self.v))
 
 
 @dataclass(frozen=True)

@@ -74,9 +74,6 @@ class OrbitSelection:
     orbsys: OrbitSystem
     reps_per_block: tuple[tuple[int, ...], ...]
 
-    def includes_zero(self, i: int) -> bool:
-        return 0 in self.reps_per_block[i]
-
 
 def expand(sel: OrbitSelection) -> sds.DifferenceFamily:
     """Materialize an orbit selection into a difference family.
@@ -116,10 +113,6 @@ class DifferenceTable:
                         if a != b:
                             vec[(a - b) % v] += 1
                 self.counts[i][j] = vec
-
-
-def difference_table(orbsys: OrbitSystem) -> DifferenceTable:
-    return DifferenceTable(orbsys)
 
 
 class _Engine:
@@ -316,7 +309,7 @@ def _dedup_and_sort(orbsys, raw_blocks_list):
 
 
 def _run(orbsys, plans, lam, budget, seed, workers, want, skew_pairs=None):
-    engine = _Engine(orbsys, lam, difference_table(orbsys))
+    engine = _Engine(orbsys, lam, DifferenceTable(orbsys))
     if len(engine.free) <= EXHAUSTIVE_ORBIT_LIMIT and skew_pairs is None:
         raw = _exhaustive(engine, plans, budget, want)
     elif skew_pairs is not None and len(skew_pairs) <= 12:
@@ -350,7 +343,10 @@ def search_sds(
     orbsys = zmod.orbit_system(p.v, zmod.element_of_order(p.v, q))
     sels = _run(orbsys, plans, p.lam, budget, seed, workers, want)
     for sel in sels:
-        assert verify_selection(sel, p.lam)
+        if not verify_selection(sel, p.lam):
+            raise RuntimeError(
+                f"search returned {sel.reps_per_block}, which fails to verify"
+            )
     return sels
 
 
@@ -404,7 +400,10 @@ def search_skew_gs(
     sels = _run(orbsys, plans, lam0, budget, seed, workers, want, skew_pairs=pairs)
     for sel in sels:
         fam = expand(sel)
-        assert sds.verify_sds(fam, lam0) and sds.is_skew(fam.blocks[0])
+        if not (sds.verify_sds(fam, lam0) and sds.is_skew(fam.blocks[0])):
+            raise RuntimeError(
+                f"search returned {sel.reps_per_block}, which is not a skew family"
+            )
     return sels
 
 

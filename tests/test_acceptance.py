@@ -219,7 +219,7 @@ def _invariant_skew_circulant(rng):
         b = sds.Block.from_iterable(v, members)
         if not sds.is_skew(b):
             return False
-        z0 = hadamard._circulant(hadamard.associated_sequence(b).bits, v)
+        z0 = [b.translate(r).mask for r in range(v)]  # rows of Z0
         for r in range(v):
             if (z0[r] >> r) & 1:
                 return False

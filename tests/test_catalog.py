@@ -168,6 +168,25 @@ class TestIntegrity:
         )
         with pytest.raises(catalog.CatalogIntegrityError):
             catalog.load_catalog(text)
+        # a target that follows the entry is not resolved either
+        later = text.replace("absent", "demo-7") + MINIMAL
+        entries = catalog.load_catalog(later, verify=False)
+        with pytest.raises(catalog.CatalogIntegrityError):
+            catalog.materialize(entries[0], entries)
+
+    def test_materialize_builds_compose_target(self):
+        text = MINIMAL + (
+            "entry wide\n"
+            "params v=7 k=3,2,2,2 lambda=2\n"
+            "status verified\n"
+            "provenance test\n"
+            "compose paley_todd demo-7\n"
+            "end\n"
+        )
+        base, wide = catalog.load_catalog(text, verify=False)
+        fam = catalog.materialize(wide, [base, wide])
+        assert fam is wide.family and fam.sizes == (3, 2, 2, 2)
+        assert base.family.member_lists() == ((0, 1), (0, 2), (0, 3))
 
 
 class TestTable1:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sdskit import cli, hadamard
+from sdskit import cli, hadamard, sds
 
 GOOD_CORPUS = """\
 entry demo-7
@@ -81,6 +81,32 @@ class TestVerify:
         assert code == cli.EXIT_VERIFY_FAIL
         assert "worst deviation" in out
 
+    def test_compose_entry_alone(self, capsys):
+        # the compose target is not named on the command line
+        code, out, _ = run(capsys, "verify", "--id", "appx-59-29-28-22")
+        assert code == cli.EXIT_OK
+        assert "appx-59-29-28-22: PASS lambda=35" in out
+
+    def test_verifies_each_entry_once(self, capsys, monkeypatch):
+        calls = []
+        real = sds.verify_sds
+        monkeypatch.setattr(
+            sds, "verify_sds", lambda f, lam: calls.append(lam) or real(f, lam)
+        )
+        code, _, _ = run(capsys, "verify", "--id", "appx-11-4-4-3")
+        assert code == cli.EXIT_OK
+        assert calls == [3]
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--file"], ["hadamard", "--file"], ["equiv"]]
+    )
+    def test_non_ascii_file(self, capsys, tmp_path, argv):
+        f = tmp_path / "latin1.txt"
+        f.write_bytes(GOOD_CORPUS.replace("worked", "caf\xe9").encode("latin-1"))
+        code, _, err = run(capsys, *argv, str(f))
+        assert code == cli.EXIT_BAD_INPUT
+        assert err.startswith("error: ")
+
     def test_open_entry_skipped(self, capsys):
         code, out, _ = run(capsys, "verify", "--id", "open-107-49-48-46")
         assert code == cli.EXIT_OK
@@ -115,6 +141,11 @@ class TestSearch:
         )
         assert code == cli.EXIT_BAD_INPUT
         assert "does not divide" in err
+
+    def test_bad_sizes(self, capsys):
+        code, _, err = run(capsys, "search", "19", "9,7,x", "--q", "3")
+        assert code == cli.EXIT_BAD_INPUT
+        assert err.startswith("error: ")
 
     def test_no_integral_lambda(self, capsys):
         code, _, err = run(capsys, "search", "13", "3,2", "--q", "3")
@@ -172,6 +203,19 @@ class TestHadamard:
         code, out, _ = run(capsys, "hadamard", "--file", str(f))
         assert code == cli.EXIT_HADAMARD_FAIL
         assert "FAIL" in out
+
+    def test_open_entry_in_file_rejected(self, capsys, tmp_path):
+        f = tmp_path / "open.txt"
+        f.write_text(
+            "entry unknown\n"
+            "params v=7 k=3,3,1 lambda=2\n"
+            "status open\n"
+            "provenance test\n"
+            "end\n"
+        )
+        code, _, err = run(capsys, "hadamard", "--file", str(f))
+        assert code == cli.EXIT_BAD_INPUT
+        assert "carries no block data" in err
 
 
 class TestEquiv:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sdskit import hadamard, sds
-from sdskit.hadamard import SignMatrix, SignSequence
+from sdskit.hadamard import SignMatrix
 
 
 def _naive_dot(m, i, j):
@@ -25,36 +25,6 @@ def _known_hadamard(n):
         ]
         size *= 2
     return SignMatrix(n, tuple(rows))
-
-
-class TestSequences:
-    def test_associated_sequence(self):
-        b = sds.Block.from_iterable(7, [1, 2, 4])
-        assert hadamard.associated_sequence(b).values() == (
-            1, -1, -1, 1, -1, 1, 1,
-        )
-
-    def test_seq_reverse_is_circulant_transpose(self):
-        rng = random.Random(0)
-        for _ in range(20):
-            v = rng.randint(1, 12)
-            bits = rng.getrandbits(v)
-            circ = hadamard._circulant(bits, v)
-            circ_t = hadamard._circulant(hadamard._seq_reverse(bits, v), v)
-            for r in range(v):
-                for c in range(v):
-                    assert (circ[r] >> c) & 1 == (circ_t[c] >> r) & 1
-
-    def test_circulant_times_r_symmetric(self):
-        # (Z R) with R the back-diagonal permutation is always symmetric
-        rng = random.Random(1)
-        for _ in range(20):
-            v = rng.randint(1, 12)
-            bits = rng.getrandbits(v)
-            zr = [hadamard._bit_reverse(r, v) for r in hadamard._circulant(bits, v)]
-            for r in range(v):
-                for c in range(v):
-                    assert (zr[r] >> c) & 1 == (zr[c] >> r) & 1
 
 
 class TestPredicates:
@@ -81,39 +51,66 @@ class TestPredicates:
         assert not hadamard.is_skew_hadamard(m)
 
 
+def _gs_oracle(blocks):
+    """The Goethals-Seidel array entry by entry from its definition: the
+    circulant Z_k has entry (r, c) = a_k[(c - r) mod v], with a_k = -1 on
+    members of block k; R is the back-diagonal, so (X R)(r, c) = X(r, v-1-c)."""
+    v = blocks[0].v
+    a = [[-1 if x in b else 1 for x in range(v)] for b in blocks]
+
+    def z(k):
+        return lambda r, c: a[k][(c - r) % v]
+
+    def times_r(x):
+        return lambda r, c: x(r, v - 1 - c)
+
+    def transpose(x):
+        return lambda r, c: x(c, r)
+
+    def neg(x):
+        return lambda r, c: -x(r, c)
+
+    z0 = z(0)
+    zr = [times_r(z(k)) for k in range(4)]
+    ztr = [times_r(transpose(z(k))) for k in range(4)]
+    grid = [
+        [z0, zr[1], zr[2], zr[3]],
+        [neg(zr[1]), z0, neg(ztr[3]), ztr[2]],
+        [neg(zr[2]), ztr[3], z0, neg(ztr[1])],
+        [neg(zr[3]), neg(ztr[2]), ztr[1], z0],
+    ]
+    return [
+        [grid[i // v][j // v](i % v, j % v) for j in range(4 * v)]
+        for i in range(4 * v)
+    ]
+
+
 class TestGoethalsSeidel:
     def test_order_4_from_length_1(self):
-        seqs = [SignSequence(1, 0)] * 4
-        m = hadamard.goethals_seidel(*seqs)
+        blocks = [sds.Block(1, 0)] * 4
+        m = hadamard.goethals_seidel(*blocks)
         assert m.n == 4
         assert hadamard.is_skew_hadamard(m)
         assert m.to_lines() == ["++++", "-+-+", "-++-", "--++"]
 
     def test_block_structure(self):
+        # all 16 blocks against the definition, for random blocks of
+        # random length
         rng = random.Random(2)
-        v = 5
-        seqs = [SignSequence(v, rng.getrandbits(v)) for _ in range(4)]
-        m = hadamard.goethals_seidel(*seqs)
-        z2tr = [
-            hadamard._bit_reverse(r, v)
-            for r in hadamard._circulant(
-                hadamard._seq_reverse(seqs[2].bits, v), v
-            )
-        ]
-        # block row 3, block column 1 must be -Z2^T R
-        for r in range(v):
-            for c in range(v):
-                got = m.entry(3 * v + r, 1 * v + c)
-                want = -(-1 if (z2tr[r] >> c) & 1 else 1)
-                assert got == want
+        for _ in range(40):
+            v = rng.randint(1, 12)
+            blocks = [sds.Block(v, rng.getrandbits(v)) for _ in range(4)]
+            m = hadamard.goethals_seidel(*blocks)
+            want = _gs_oracle(blocks)
+            assert m.n == 4 * v
+            assert [
+                [m.entry(i, j) for j in range(m.n)] for i in range(m.n)
+            ] == want
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             hadamard.goethals_seidel(
-                SignSequence(3, 0),
-                SignSequence(3, 0),
-                SignSequence(5, 0),
-                SignSequence(3, 0),
+                sds.Block(3, 0), sds.Block(3, 0), sds.Block(5, 0), sds.Block(3, 0)
             )
 
 
@@ -138,12 +135,24 @@ class TestBuildSkewHadamard:
                 half.append(x if rng.random() < 0.5 else v - x)
             b = sds.Block.from_iterable(v, half)
             assert sds.is_skew(b)
-            z0 = hadamard._circulant(hadamard.associated_sequence(b).bits, v)
+            z0 = [b.translate(r).mask for r in range(v)]  # rows of Z0
             # Z0 + Z0^T = 2I for a skew-type block
             for r in range(v):
                 assert (z0[r] >> r) & 1 == 0
                 for c in range(r + 1, v):
                     assert ((z0[r] >> c) & 1) != ((z0[c] >> r) & 1)
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        # the final check is a raise, not an assert, so it survives -O
+        monkeypatch.setattr(hadamard, "is_skew_hadamard", lambda m: False)
+        with pytest.raises(hadamard.BuildError):
+            hadamard.build_skew_hadamard(
+                3,
+                sds.Block.from_iterable(3, [1]),
+                sds.Block.from_iterable(3, [0]),
+                sds.Block.from_iterable(3, [0]),
+                sds.Block.from_iterable(3, []),
+            )
 
     def test_rejects_non_skew_first_block(self):
         with pytest.raises(hadamard.BuildError):

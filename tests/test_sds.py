@@ -31,6 +31,13 @@ class TestBlock:
         assert b.scale(2).members() == (0, 2, 6)
         assert b.negate().members() == (0, 4, 6)
 
+    def test_negate_matches_definition(self):
+        for v in range(1, 11):
+            for mask in range(1 << v):
+                b = Block(v, mask)
+                want = Block.from_iterable(v, ((-x) % v for x in b.members()))
+                assert b.negate() == want
+
 
 class TestDifferenceCounts:
     def test_flat_family_v7(self):

@@ -65,7 +65,7 @@ class TestExpand:
 class TestDifferenceTable:
     def test_v7_brute(self):
         osys = zmod.orbit_system(7, 2)
-        tab = search.difference_table(osys)
+        tab = search.DifferenceTable(osys)
         for i, oi in enumerate(osys.orbits):
             for j, oj in enumerate(osys.orbits):
                 expected = [0] * 7
@@ -77,7 +77,7 @@ class TestDifferenceTable:
 
     def test_row_sum_invariant(self):
         osys = zmod.orbit_system(19, zmod.element_of_order(19, 3))
-        tab = search.difference_table(osys)
+        tab = search.DifferenceTable(osys)
         for i, oi in enumerate(osys.orbits):
             for j, oj in enumerate(osys.orbits):
                 want = len(oi) * len(oj) - (len(oi) if i == j else 0)
@@ -85,13 +85,13 @@ class TestDifferenceTable:
 
     def test_total_is_all_ordered_pairs(self):
         osys = zmod.orbit_system(239, zmod.element_of_order(239, 7))
-        tab = search.difference_table(osys)
+        tab = search.DifferenceTable(osys)
         total = sum(sum(vec) for row in tab.counts for vec in row)
         assert total == 239 * 239 - 239
 
     def test_negation_symmetry(self):
         osys = zmod.orbit_system(19, zmod.element_of_order(19, 3))
-        tab = search.difference_table(osys)
+        tab = search.DifferenceTable(osys)
         n = len(osys.orbits)
         for i in range(n):
             for j in range(n):
@@ -106,6 +106,13 @@ class TestSearchSds:
         assert sels
         for sel in sels:
             assert sds.verify_sds(search.expand(sel), 8).ok
+
+    def test_unverified_result_raises(self, monkeypatch):
+        # the result check is a raise, not an assert, so it survives -O
+        monkeypatch.setattr(search, "verify_selection", lambda sel, lam: False)
+        p = sds.ParameterSet(19, (9, 7, 6), 8)
+        with pytest.raises(RuntimeError):
+            search.search_sds(p, 3, budget=200_000, seed=1)
 
     def test_infeasible_reported(self):
         p = sds.ParameterSet(107, (49, 48, 46), 63)
@@ -146,7 +153,7 @@ class TestIncrementalBookkeeping:
     def test_engine_counts_match_full_recount(self):
         rng = random.Random(11)
         osys = zmod.orbit_system(31, zmod.element_of_order(31, 3))
-        engine = search._Engine(osys, 17, search.difference_table(osys))
+        engine = search._Engine(osys, 17, search.DifferenceTable(osys))
         for _ in range(25):
             blocks = []
             for _ in range(3):
@@ -180,6 +187,11 @@ class TestSearchSkewGs:
             fam = search.expand(sel)
             assert sds.verify_sds(fam, 31 - 19).ok
             assert sds.is_skew(fam.blocks[0])
+
+    def test_non_skew_result_raises(self, monkeypatch):
+        monkeypatch.setattr(sds, "is_skew", lambda b: False)
+        with pytest.raises(RuntimeError):
+            search.search_skew_gs(19, (9, 9, 7, 6), 3, budget=500_000, seed=1)
 
     def test_wrong_k0_rejected(self):
         with pytest.raises(ValueError):
