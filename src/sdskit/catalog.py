@@ -91,12 +91,13 @@ def materialize(
         fam = sds.DifferenceFamily.from_sets(entry.params.v, entry.blocks)
     elif entry.orbit is not None:
         h, q, reps = entry.orbit
-        osys = zmod.orbit_system(entry.params.v, h)
-        if osys.q != q:
-            raise CatalogIntegrityError(
-                f"entry {entry.id}: h={h} has order {osys.q}, not {q}"
-            )
-        fam = search.expand(search.OrbitSelection(osys, reps))
+        try:
+            osys = zmod.orbit_system(entry.params.v, h)
+            if osys.q != q:
+                raise ValueError(f"h={h} has order {osys.q}, not {q}")
+            fam = search.expand(search.OrbitSelection(osys, reps))
+        except ValueError as exc:
+            raise CatalogIntegrityError(f"entry {entry.id}: {exc}") from None
     elif entry.compose is not None:
         earlier = itertools.takewhile(lambda e: e is not entry, entries)
         base = next((e for e in earlier if e.id == entry.compose), None)

@@ -12,6 +12,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -113,6 +114,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    try:
+        taken = {e.id for e in _read_corpus(args.out)} if args.out else set()
+    except FileNotFoundError:
+        taken = set()
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     seed = args.seed
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)
@@ -146,9 +154,12 @@ def cmd_search(args) -> int:
     if not sels:
         print("no family found within budget (not a nonexistence proof)")
         return EXIT_OK
+    # ids already in --out are skipped, so appending never duplicates one
+    prefix = f"found-{args.v}-q{args.q}-s{seed}-"
+    ids = (f"{prefix}{i}" for i in itertools.count(1))
+    fresh = (eid for eid in ids if eid not in taken)
     entries = []
-    for i, sel in enumerate(sels, start=1):
-        eid = f"found-{args.v}-q{args.q}-s{seed}-{i}"
+    for sel, eid in zip(sels, fresh):
         entries.append(
             catalog.CatalogEntry(
                 id=eid,
@@ -162,6 +173,8 @@ def cmd_search(args) -> int:
     text = catalog.emit_catalog(entries)
     if args.out:
         with open(args.out, "a") as fh:
+            if fh.tell():
+                fh.write("\n")  # the file may not end in a newline
             fh.write(text)
         print(f"appended {len(entries)} entries to {args.out}")
     return EXIT_OK
@@ -270,7 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True, help="prime orbit order")
     p.add_argument("--budget", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="split the local-search budget into N seeded streams "
+                        "run one after another (the exhaustive engine "
+                        "ignores it and the seed)")
     p.add_argument("--want", type=int, default=1)
     p.add_argument("--skew-gs", action="store_true", help="4-block skew search")
     p.add_argument("--out", help="append found families to this corpus file")

@@ -71,6 +71,12 @@ class Block:
         i to v-1-i, and one more rotation maps that to v-i."""
         return Block(self.v, _rotl(_reverse(self.mask, self.v), 1, self.v))
 
+    def difference_counts(self, residues: Iterable[int]) -> list[int]:
+        """For each c in residues, the number of ordered member pairs (a, b)
+        with a - b = c (mod v): the popcount of mask AND mask rotated by c."""
+        m, v = self.mask, self.v
+        return [(m & _rotl(m, c, v)).bit_count() for c in residues]
+
 
 @dataclass(frozen=True)
 class ParameterSet:
@@ -150,12 +156,10 @@ def difference_counts(f: DifferenceFamily) -> list[int]:
 
     Returns a list indexed by c; index 0 is unused and left at 0.
     """
-    v = f.v
-    counts = [0] * v
+    counts = [0] * f.v
     for b in f.blocks:
-        m = b.mask
-        for c in range(1, v):
-            counts[c] += (m & _rotl(m, c, v)).bit_count()
+        for c, n in enumerate(b.difference_counts(range(1, f.v)), start=1):
+            counts[c] += n
     return counts
 
 

@@ -1,10 +1,13 @@
 """Orbit-union search for difference families.
 
-Blocks are built as unions of orbits of a prime-order subgroup of Z_v^*,
+Blocks are built as unions of orbits of a prime-order subgroup H of Z_v^*,
 which shrinks the search space from subsets of Z_v to subsets of orbit
-representatives.  Two engines are provided: exhaustive backtracking with
-count pruning for small orbit counts, and randomized-restart local search
-with single-orbit swaps otherwise.
+representatives.  Each orbit is one bit mask and a block is the OR of its
+orbits' masks.  A block is H-invariant, so its difference counts are
+constant on each orbit: they are kept only at the (v-1)/q nonzero orbit
+representatives, by sds.Block.difference_counts.  Two engines are provided:
+exhaustive backtracking with count pruning for small orbit counts, and
+randomized-restart local search with single-orbit swaps otherwise.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import equivalence, sds, zmod
 from .zmod import OrbitSystem
@@ -96,57 +99,15 @@ def expand(sel: OrbitSelection) -> sds.DifferenceFamily:
     return sds.DifferenceFamily(osys.v, tuple(blocks))
 
 
-class DifferenceTable:
-    """Per ordered orbit pair (i, j), the vector of counts
-    D[i][j][c] = #{(a, b) in O_i x O_j : a - b = c (mod v), a != b}."""
-
-    def __init__(self, orbsys: OrbitSystem):
-        self.orbsys = orbsys
-        v = orbsys.v
-        n = len(orbsys.orbits)
-        self.counts = [[None] * n for _ in range(n)]
-        for i, oi in enumerate(orbsys.orbits):
-            for j, oj in enumerate(orbsys.orbits):
-                vec = [0] * v
-                for a in oi:
-                    for b in oj:
-                        if a != b:
-                            vec[(a - b) % v] += 1
-                self.counts[i][j] = vec
+def _orbit_masks(orbsys: OrbitSystem) -> list[int]:
+    return [sds.Block.from_iterable(orbsys.v, orb).mask for orb in orbsys.orbits]
 
 
-class _Engine:
-    """Shared state for both search engines over one orbit system."""
-
-    def __init__(self, orbsys: OrbitSystem, lam: int, table: DifferenceTable):
-        self.orbsys = orbsys
-        self.lam = lam
-        self.table = table.counts
-        self.v = orbsys.v
-        # nontrivial orbit indices (index 0 is the zero orbit)
-        self.free = list(range(1, len(orbsys.orbits)))
-
-    def apply_orbit(self, counts, chosen, orbit, sign):
-        """Add (sign=+1) or remove (sign=-1) one orbit's contribution to a
-        block whose other orbits are `chosen` (orbit excluded)."""
-        t = self.table
-        v = self.v
-        row = t[orbit][orbit]
-        for c in range(1, v):
-            d = row[c]
-            for s in chosen:
-                d += t[orbit][s][c] + t[s][orbit][c]
-            if d:
-                counts[c] += sign * d
-
-    def family_counts(self, selection):
-        counts = [0] * self.v
-        for block in selection:
-            acc = []
-            for o in block:
-                self.apply_orbit(counts, acc, o, +1)
-                acc.append(o)
-        return counts
+def _union(masks, block) -> int:
+    mask = 0
+    for o in block:
+        mask |= masks[o]
+    return mask
 
 
 def _selection_from_indices(orbsys: OrbitSystem, blocks) -> OrbitSelection:
@@ -156,67 +117,62 @@ def _selection_from_indices(orbsys: OrbitSystem, blocks) -> OrbitSelection:
     return OrbitSelection(orbsys, reps)
 
 
-def _exhaustive(engine: _Engine, plans, budget, want, skew_pairs=None):
-    """Backtracking over per-block orbit combinations, pruning whenever any
-    running count exceeds lambda.
+def _exhaustive(orbsys, plans, lam, budget, want, skew_pairs=None):
+    """Backtracking over per-block orbit combinations, pruning any block
+    choice that pushes a running count past lambda.
 
     If skew_pairs is given, block 0 instead picks one orientation per
     negation-paired orbit couple (the structural skew constraint).
     """
-    lam = engine.lam
-    v = engine.v
-    counts = [0] * v
+    v = orbsys.v
+    reps = orbsys.reps[1:]
+    masks = _orbit_masks(orbsys)
+    free = range(1, len(masks))
     found = []
     nodes = 0
 
-    def over():
-        return any(counts[c] > lam for c in range(1, v))
-
     def block_choices(bi):
         if skew_pairs is not None and bi == 0:
-            return list(itertools.product(*[(a, b) for a, b in skew_pairs]))
-        m = plans[bi].orbit_count
-        return list(itertools.combinations(engine.free, m))
+            return itertools.product(*skew_pairs)
+        return itertools.combinations(free, plans[bi].orbit_count)
 
-    def recurse(bi, partial):
+    def recurse(bi, partial, counts):
         nonlocal nodes
         if len(found) >= want or nodes >= budget:
             return
         if bi == len(plans):
-            if all(counts[c] == lam for c in range(1, v)):
-                found.append([list(b) for b in partial])
+            if all(c == lam for c in counts):
+                found.append(partial)
             return
         base = [0] if plans[bi].include_zero else []
         for combo in block_choices(bi):
             nodes += 1
             if nodes >= budget:
                 return
-            block = list(base)
-            ok = True
-            for o in combo:
-                engine.apply_orbit(counts, block, o, +1)
-                block.append(o)
-                if over():
-                    ok = False
-                    break
-            if ok:
-                recurse(bi + 1, partial + [block])
-            while len(block) > len(base):
-                o = block.pop()
-                engine.apply_orbit(counts, block, o, -1)
+            block = base + list(combo)
+            added = sds.Block(v, _union(masks, block)).difference_counts(reps)
+            total = [c + d for c, d in zip(counts, added)]
+            if max(total) <= lam:
+                recurse(bi + 1, partial + [block], total)
             if len(found) >= want:
                 return
 
-    recurse(0, [])
+    recurse(0, [], [0] * len(reps))
     return found
 
 
-def _local_search(engine: _Engine, plans, budget, want, rng, skew_pairs=None):
+def _local_search(orbsys, plans, lam, budget, want, rng, skew_pairs=None):
     """Randomized restarts + steepest single-orbit swap descent on the sum
-    of squared deviations of the difference histogram from lambda."""
-    lam = engine.lam
-    v = engine.v
-    free = engine.free
+    of squared deviations of the difference counts from lambda.
+
+    A move replaces one orbit of one block; in the skew block 0 it swaps
+    an orbit for its negation.  Its cost is the family total with the old
+    block's counts taken out and the new block's put in.
+    """
+    v = orbsys.v
+    reps = orbsys.reps[1:]
+    masks = _orbit_masks(orbsys)
+    free = list(range(1, len(masks)))
     found = []
     seen_keys = set()
     evals = 0
@@ -231,22 +187,15 @@ def _local_search(engine: _Engine, plans, budget, want, rng, skew_pairs=None):
             blocks.append(base + rng.sample(free, plan.orbit_count))
         return blocks
 
-    def cost_of(counts):
-        return sum((counts[c] - lam) ** 2 for c in range(1, v))
-
-    def swap_delta(counts, block, o_out, o_in):
-        rest = [o for o in block if o != o_out]
-        engine.apply_orbit(counts, rest, o_out, -1)
-        engine.apply_orbit(counts, rest, o_in, +1)
-        c = cost_of(counts)
-        engine.apply_orbit(counts, rest, o_in, -1)
-        engine.apply_orbit(counts, rest, o_out, +1)
-        return c
+    def counts_of(mask):
+        return sds.Block(v, mask).difference_counts(reps)
 
     while evals < budget and len(found) < want:
         blocks = random_state()
-        counts = engine.family_counts(blocks)
-        cost = cost_of(counts)
+        block_masks = [_union(masks, b) for b in blocks]
+        block_counts = [counts_of(m) for m in block_masks]
+        total = [sum(col) for col in zip(*block_counts)]
+        cost = sum((t - lam) ** 2 for t in total)
         sideways = 0
         while evals < budget:
             if cost == 0:
@@ -258,43 +207,44 @@ def _local_search(engine: _Engine, plans, budget, want, rng, skew_pairs=None):
             best = None
             moves = []
             for bi, block in enumerate(blocks):
+                in_block = set(block)
                 if skew_pairs is not None and bi == 0:
-                    for pi, pair in enumerate(skew_pairs):
-                        cur = block[pi]
-                        alt = pair[0] if cur == pair[1] else pair[1]
-                        moves.append((bi, cur, alt, pi))
-                else:
-                    in_block = set(block)
-                    for o_out in block:
-                        if o_out == 0:
-                            continue
-                        for o_in in free:
-                            if o_in in in_block:
-                                continue
-                            moves.append((bi, o_out, o_in, None))
+                    # block 0 holds one orbit of each pair: flip one pair
+                    for a, b in skew_pairs:
+                        moves.append((bi, a, b) if a in in_block else (bi, b, a))
+                    continue
+                for o_out in block:
+                    if o_out == 0:
+                        continue
+                    for o_in in free:
+                        if o_in not in in_block:
+                            moves.append((bi, o_out, o_in))
             rng.shuffle(moves)
-            for bi, o_out, o_in, pi in moves:
+            for bi, o_out, o_in in moves:
                 evals += 1
-                c = swap_delta(counts, blocks[bi], o_out, o_in)
+                new = counts_of(block_masks[bi] ^ masks[o_out] ^ masks[o_in])
+                c = sum(
+                    (t - old + n - lam) ** 2
+                    for t, old, n in zip(total, block_counts[bi], new)
+                )
                 if best is None or c < best[0]:
-                    best = (c, bi, o_out, o_in)
+                    best = (c, bi, o_out, o_in, new)
                 if evals >= budget:
                     break
             if best is None:
                 break
-            c, bi, o_out, o_in = best
+            c, bi, o_out, o_in, new = best
             if c > cost or (c == cost and sideways >= 10):
                 break  # local optimum; restart
             if c == cost:
                 sideways += 1
             else:
                 sideways = 0
-            block = blocks[bi]
-            rest = [o for o in block if o != o_out]
-            engine.apply_orbit(counts, rest, o_out, -1)
-            engine.apply_orbit(counts, rest, o_in, +1)
-            block.remove(o_out)
-            block.append(o_in)
+            total = [t - old + n for t, old, n in zip(total, block_counts[bi], new)]
+            block_counts[bi] = new
+            block_masks[bi] ^= masks[o_out] ^ masks[o_in]
+            blocks[bi].remove(o_out)
+            blocks[bi].append(o_in)
             cost = c
     return found
 
@@ -309,18 +259,15 @@ def _dedup_and_sort(orbsys, raw_blocks_list):
 
 
 def _run(orbsys, plans, lam, budget, seed, workers, want, skew_pairs=None):
-    engine = _Engine(orbsys, lam, DifferenceTable(orbsys))
-    if len(engine.free) <= EXHAUSTIVE_ORBIT_LIMIT and skew_pairs is None:
-        raw = _exhaustive(engine, plans, budget, want)
-    elif skew_pairs is not None and len(skew_pairs) <= 12:
-        raw = _exhaustive(engine, plans, budget, want, skew_pairs=skew_pairs)
+    if len(orbsys.orbits) - 1 <= EXHAUSTIVE_ORBIT_LIMIT:
+        raw = _exhaustive(orbsys, plans, lam, budget, want, skew_pairs)
     else:
         raw = []
         per_worker = max(1, budget // max(1, workers))
         for w in range(max(1, workers)):
             rng = random.Random(f"{seed}:{w}")
             raw.extend(
-                _local_search(engine, plans, per_worker, want, rng, skew_pairs)
+                _local_search(orbsys, plans, lam, per_worker, want, rng, skew_pairs)
             )
     return _dedup_and_sort(orbsys, raw)
 
@@ -337,7 +284,9 @@ def search_sds(
 
     Every returned selection expands to a family passing verify_sds at
     p.lam.  Deterministic for fixed (seed, workers); an empty result only
-    means the budget was exhausted, not nonexistence.
+    means the budget was exhausted, not nonexistence.  The local engine
+    splits its budget into `workers` seeded streams that run one after
+    another; the exhaustive engine ignores both `workers` and `seed`.
     """
     plans = feasibility(p.v, p.sizes, q)
     orbsys = zmod.orbit_system(p.v, zmod.element_of_order(p.v, q))
@@ -381,6 +330,7 @@ def search_skew_gs(
     sizes = (k0, k1, k2, k3) with k0 = (v-1)/2; the skew constraint is
     structural: block 0 takes exactly one orbit from each negation pair.
     The result feeds directly into the Goethals-Seidel assembly.
+    `workers` and `seed` act as in search_sds.
     """
     sizes = tuple(sizes)
     if len(sizes) != 4:

@@ -107,6 +107,26 @@ class TestVerify:
         assert code == cli.EXIT_BAD_INPUT
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "params,orbit,reps",
+        [
+            ("v=7 k=3 lambda=1", "h=0 q=3", "1"),  # 0 is not a unit
+            ("v=7 k=3 lambda=1", "h=2 q=3", "1 2"),  # one orbit named twice
+            ("v=7 k=3 lambda=1", "h=1 q=3", "1"),  # h of order 1
+            ("v=9 k=1 lambda=0", "h=2 q=3", "0"),  # composite modulus
+        ],
+        ids=["h0", "orbit-twice", "h1", "composite-v"],
+    )
+    def test_bad_orbit_data_fails(self, capsys, tmp_path, params, orbit, reps):
+        f = tmp_path / "orbit.txt"
+        f.write_text(
+            f"entry bad-orbit\nparams {params}\nstatus verified\n"
+            f"provenance test\norbit {orbit}\nreps {reps}\nend\n"
+        )
+        code, out, _ = run(capsys, "verify", "--file", str(f))
+        assert code == cli.EXIT_VERIFY_FAIL
+        assert out.startswith("bad-orbit: FAIL (entry bad-orbit: ")
+
     def test_open_entry_skipped(self, capsys):
         code, out, _ = run(capsys, "verify", "--id", "open-107-49-48-46")
         assert code == cli.EXIT_OK
@@ -126,6 +146,44 @@ class TestSearch:
 
         (e,) = catalog.load_catalog(out_file.read_text(), verify=True)
         assert e.params.sizes == (9, 7, 6)
+
+    def test_second_run_continues_ids(self, capsys, tmp_path):
+        out_file = tmp_path / "found.txt"
+        for _ in range(2):
+            code, _, _ = run(
+                capsys, "search", "19", "9,7,6", "--q", "3", "--seed", "1",
+                "--out", str(out_file),
+            )
+            assert code == cli.EXIT_OK
+        code, out, _ = run(capsys, "verify", "--file", str(out_file))
+        assert code == cli.EXIT_OK
+        assert out.splitlines() == [
+            "found-19-q3-s1-1: PASS lambda=8",
+            "found-19-q3-s1-2: PASS lambda=8",
+        ]
+
+    def test_out_file_without_final_newline(self, capsys, tmp_path):
+        out_file = tmp_path / "found.txt"
+        out_file.write_text(GOOD_CORPUS.rstrip("\n"))
+        code, _, _ = run(
+            capsys, "search", "19", "9,7,6", "--q", "3", "--seed", "1",
+            "--out", str(out_file),
+        )
+        assert code == cli.EXIT_OK
+        code, out, _ = run(capsys, "verify", "--file", str(out_file))
+        assert code == cli.EXIT_OK
+        assert out.count("PASS") == 2
+
+    def test_unparsable_out_file(self, capsys, tmp_path):
+        out_file = tmp_path / "found.txt"
+        out_file.write_text("not a corpus\n")
+        code, _, err = run(
+            capsys, "search", "19", "9,7,6", "--q", "3", "--seed", "1",
+            "--out", str(out_file),
+        )
+        assert code == cli.EXIT_BAD_INPUT
+        assert err.startswith("error: ")
+        assert out_file.read_text() == "not a corpus\n"
 
     def test_infeasible(self, capsys):
         code, out, _ = run(

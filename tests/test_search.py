@@ -62,41 +62,68 @@ class TestExpand:
         assert sds.verify_sds(e.family, 158).ok
 
 
-class TestDifferenceTable:
+def _rep_counts(osys, members):
+    return sds.Block.from_iterable(osys.v, members).difference_counts(
+        osys.reps[1:]
+    )
+
+
+def _random_union(rng, osys, with_zero):
+    picked = rng.sample(range(1, len(osys.orbits)), rng.randint(0, 6))
+    members = set().union(*(osys.orbits[i] for i in picked))
+    return members | {0} if with_zero else members
+
+
+class TestOrbitCounts:
+    """An orbit union is H-invariant, so its difference counts are constant
+    on each orbit and one count per nonzero orbit representative says it
+    all.  The search keeps only those counts."""
+
     def test_v7_brute(self):
         osys = zmod.orbit_system(7, 2)
-        tab = search.DifferenceTable(osys)
-        for i, oi in enumerate(osys.orbits):
-            for j, oj in enumerate(osys.orbits):
-                expected = [0] * 7
-                for a in oi:
-                    for b in oj:
-                        if a != b:
-                            expected[(a - b) % 7] += 1
-                assert tab.counts[i][j] == expected
+        for oi in osys.orbits:
+            for oj in osys.orbits:
+                members = set(oi) | set(oj)
+                brute = brute_difference_counts(7, [members])
+                assert _rep_counts(osys, members) == [
+                    brute[r] for r in osys.reps[1:]
+                ]
 
-    def test_row_sum_invariant(self):
+    @pytest.mark.parametrize("v,q", [(31, 3), (43, 7)])
+    def test_rep_counts_match_brute(self, v, q):
+        rng = random.Random(11)
+        osys = zmod.orbit_system(v, zmod.element_of_order(v, q))
+        for trial in range(40):
+            members = _random_union(rng, osys, with_zero=trial % 2 == 1)
+            counts = _rep_counts(osys, members)
+            brute = brute_difference_counts(v, [members])
+            for c in range(1, v):
+                assert brute[c] == counts[osys.orbit_index_of(c) - 1]
+
+    def test_weighted_sum_is_all_ordered_pairs(self):
+        rng = random.Random(3)
         osys = zmod.orbit_system(19, zmod.element_of_order(19, 3))
-        tab = search.DifferenceTable(osys)
-        for i, oi in enumerate(osys.orbits):
-            for j, oj in enumerate(osys.orbits):
-                want = len(oi) * len(oj) - (len(oi) if i == j else 0)
-                assert sum(tab.counts[i][j]) == want
+        for trial in range(20):
+            members = _random_union(rng, osys, with_zero=trial % 2 == 1)
+            k = len(members)
+            assert osys.q * sum(_rep_counts(osys, members)) == k * (k - 1)
 
-    def test_total_is_all_ordered_pairs(self):
+    def test_whole_group(self):
         osys = zmod.orbit_system(239, zmod.element_of_order(239, 7))
-        tab = search.DifferenceTable(osys)
-        total = sum(sum(vec) for row in tab.counts for vec in row)
-        assert total == 239 * 239 - 239
+        counts = _rep_counts(osys, range(239))
+        assert counts == [239] * len(counts)
+        assert osys.q * sum(counts) == 239 * 239 - 239
 
     def test_negation_symmetry(self):
+        rng = random.Random(5)
         osys = zmod.orbit_system(19, zmod.element_of_order(19, 3))
-        tab = search.DifferenceTable(osys)
-        n = len(osys.orbits)
-        for i in range(n):
-            for j in range(n):
-                for c in range(1, 19):
-                    assert tab.counts[i][j][c] == tab.counts[j][i][19 - c]
+        for trial in range(20):
+            members = _random_union(rng, osys, with_zero=trial % 2 == 1)
+            counts = _rep_counts(osys, members)
+            for r in osys.reps[1:]:
+                i = osys.orbit_index_of(r) - 1
+                j = osys.orbit_index_of(19 - r) - 1
+                assert counts[i] == counts[j]
 
 
 class TestSearchSds:
@@ -137,7 +164,10 @@ class TestSearchSds:
         monkeypatch.setattr(search, "EXHAUSTIVE_ORBIT_LIMIT", 0)
         p = sds.ParameterSet(31, (15, 15, 10), 17)
         sels = search.search_sds(p, 3, budget=500_000, seed=7)
-        assert sels
+        # pinned: the local engine's moves, costs and RNG draws are fixed
+        assert [s.reps_per_block for s in sels] == [
+            ((1, 6, 11, 12, 17), (1, 6, 8, 12, 17), (0, 2, 11, 12))
+        ]
         for sel in sels:
             assert sds.verify_sds(search.expand(sel), 17).ok
 
@@ -147,27 +177,6 @@ class TestSearchSds:
         a = search.search_sds(p, 3, budget=100_000, seed=5, workers=3)
         b = search.search_sds(p, 3, budget=100_000, seed=5, workers=3)
         assert a == b and a
-
-
-class TestIncrementalBookkeeping:
-    def test_engine_counts_match_full_recount(self):
-        rng = random.Random(11)
-        osys = zmod.orbit_system(31, zmod.element_of_order(31, 3))
-        engine = search._Engine(osys, 17, search.DifferenceTable(osys))
-        for _ in range(25):
-            blocks = []
-            for _ in range(3):
-                size = rng.randint(0, 5)
-                blocks.append(
-                    ([0] if rng.random() < 0.5 else []) + rng.sample(engine.free, size)
-                )
-            counts = engine.family_counts(blocks)
-            sets = [
-                set().union(*(osys.orbits[i] for i in b)) if b else set()
-                for b in blocks
-            ]
-            brute = brute_difference_counts(31, sets)
-            assert counts[1:] == brute[1:]
 
 
 class TestSearchSkewGs:
@@ -187,6 +196,21 @@ class TestSearchSkewGs:
             fam = search.expand(sel)
             assert sds.verify_sds(fam, 31 - 19).ok
             assert sds.is_skew(fam.blocks[0])
+
+    def test_v19_exhaustive_pinned(self):
+        (sel,) = search.search_skew_gs(19, (9, 9, 7, 6), 3, seed=1)
+        assert sel.orbsys.h == 7
+        assert sel.reps_per_block == ((1, 2, 4), (1, 2, 5), (0, 1, 2), (1, 2))
+
+    def test_v19_local_path_pinned(self, monkeypatch):
+        # at limit 0 the skew search takes the local engine, like any other
+        monkeypatch.setattr(search, "EXHAUSTIVE_ORBIT_LIMIT", 0)
+        sels = search.search_skew_gs(19, (9, 9, 7, 6), 3, budget=200_000, seed=1)
+        assert [s.reps_per_block for s in sels] == [
+            ((5, 8, 10), (2, 5, 10), (0, 1, 5), (2, 8))
+        ]
+        fam = search.expand(sels[0])
+        assert sds.verify_sds(fam, 12).ok and sds.is_skew(fam.blocks[0])
 
     def test_non_skew_result_raises(self, monkeypatch):
         monkeypatch.setattr(sds, "is_skew", lambda b: False)
