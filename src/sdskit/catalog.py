@@ -18,7 +18,6 @@ Verified entries are re-verified on load; a mismatch is a hard failure.
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass
 from importlib import resources
@@ -69,6 +68,22 @@ def _parse_ints(text: str, lineno: int) -> tuple[int, ...]:
         raise CatalogParseError(lineno, f"expected integers, got {text!r}")
 
 
+def _check_residues(entry: CatalogEntry, word: str, lines) -> None:
+    """Every residue on each `word` line lies in 0..v-1, none twice: the
+    data is read as written, never reduced mod v."""
+    v = entry.params.v
+    for line in lines:
+        bad = [x for x in line if not 0 <= x < v]
+        if bad:
+            raise CatalogIntegrityError(
+                f"entry {entry.id}: {word} residues {bad} outside 0..{v - 1}"
+            )
+        if len(set(line)) != len(line):
+            raise CatalogIntegrityError(
+                f"entry {entry.id}: {word} line repeats a residue"
+            )
+
+
 def materialize(
     entry: CatalogEntry, entries: list[CatalogEntry]
 ) -> Optional[sds.DifferenceFamily]:
@@ -87,12 +102,15 @@ def materialize(
                 f"entry {entry.id}: status {entry.status} must not carry data"
             )
         return None
+    v = entry.params.v
     if entry.blocks is not None:
-        fam = sds.DifferenceFamily.from_sets(entry.params.v, entry.blocks)
+        _check_residues(entry, "block", entry.blocks)
+        fam = sds.DifferenceFamily.from_sets(v, entry.blocks)
     elif entry.orbit is not None:
         h, q, reps = entry.orbit
+        _check_residues(entry, "reps", reps)
         try:
-            osys = zmod.orbit_system(entry.params.v, h)
+            osys = zmod.orbit_system(v, h)
             if osys.q != q:
                 raise ValueError(f"h={h} has order {osys.q}, not {q}")
             fam = search.expand(search.OrbitSelection(osys, reps))
@@ -126,24 +144,18 @@ def materialize(
     return fam
 
 
-def load_catalog(source, verify: bool = True) -> list[CatalogEntry]:
-    """Parse a corpus document from a string, byte stream, or text stream.
+def load_catalog(text: str, verify: bool = True) -> list[CatalogEntry]:
+    """Parse a corpus document.
 
     With verify=True (the default), every verified entry is materialized
     and re-verified; failures raise CatalogIntegrityError.
     """
-    if isinstance(source, bytes):
-        source = source.decode("ascii")
-    if isinstance(source, str):
-        source = io.StringIO(source)
     entries: list[CatalogEntry] = []
     ids: set[str] = set()
     cur: Optional[dict] = None
     pending_reps: Optional[list[tuple[int, ...]]] = None
 
-    for lineno, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("ascii")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -5,6 +5,11 @@ translation per block, and permutations of equal-size blocks.  Block
 complementation is NOT part of the relation (it changes lambda).  The
 canonical form is the lexicographically minimal representative: each block
 as a sorted residue list, blocks ordered by (size descending, list).
+
+Blocks are compared by integer keys from sds.least_translate_key: among
+sets of one size, a smaller sorted list is a larger key, so each candidate
+block is ranked by (-size, -key).  Only the winning keys are turned back
+into residue lists.
 """
 
 from __future__ import annotations
@@ -13,54 +18,6 @@ import math
 from dataclasses import dataclass
 
 from . import sds
-
-
-def least_rotation(seq) -> int:
-    """Index k such that seq[k:] + seq[:k] is the lexicographically minimal
-    rotation (Booth's algorithm, O(n))."""
-    n = len(seq)
-    if n == 0:
-        return 0
-    s = list(seq) + list(seq)
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k % n
-
-
-def _min_translate(v: int, members: list[int]) -> tuple[int, ...]:
-    """The lexicographically least translate of a sorted residue list.
-
-    Comparing translates of an equal-size set is equivalent to comparing
-    rotations of its circular gap sequence, so Booth applies with cost
-    O(k) instead of O(v).
-    """
-    k = len(members)
-    if k == 0:
-        return ()
-    if k == v:
-        return tuple(range(v))
-    gaps = [members[i + 1] - members[i] for i in range(k - 1)]
-    gaps.append(v - members[-1] + members[0])
-    r = least_rotation(gaps)
-    out = [0] * k
-    acc = 0
-    for i in range(k - 1):
-        acc += gaps[(r + i) % k]
-        out[i + 1] = acc
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -73,22 +30,18 @@ def canonical_form(f: sds.DifferenceFamily) -> CanonicalForm:
     """Minimum over all multipliers, per-block translations, and equal-size
     block permutations.  Idempotent."""
     v = f.v
-    member_lists = [list(b.members()) for b in f.blocks]
-    best = None
+    member_lists = f.member_lists()
+    best = []  # no blocks, or no multiplier at v = 1
     for m in range(1, v):
-        if v > 1 and math.gcd(m, v) != 1:
+        if math.gcd(m, v) != 1:
             continue
-        cand = []
-        for members in member_lists:
-            scaled = sorted(m * x % v for x in members)
-            cand.append(_min_translate(v, scaled))
-        cand.sort(key=lambda t: (-len(t), t))
-        key = tuple(cand)
-        if best is None or key < best:
-            best = key
-    if best is None:  # no blocks or v too small to matter
-        best = ()
-    return CanonicalForm(v, best)
+        cand = sorted(
+            (-len(members), -sds.least_translate_key(v, [m * x % v for x in members]))
+            for members in member_lists
+        )
+        if m == 1 or cand < best:
+            best = cand
+    return CanonicalForm(v, tuple(sds.key_members(v, -key) for _, key in best))
 
 
 def are_equivalent(f1: sds.DifferenceFamily, f2: sds.DifferenceFamily) -> bool:

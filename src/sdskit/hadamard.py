@@ -19,6 +19,14 @@ class SignMatrix:
     n: int
     rows: tuple[int, ...]
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("order must be positive")
+        if len(self.rows) != self.n:
+            raise ValueError(f"{len(self.rows)} rows for order {self.n}")
+        if any(r < 0 or r >> self.n for r in self.rows):
+            raise ValueError(f"row has bits outside 0..{self.n - 1}")
+
     def entry(self, i: int, j: int) -> int:
         return -1 if (self.rows[i] >> j) & 1 else 1
 
@@ -151,4 +159,6 @@ def read_matrix(path) -> SignMatrix:
                 if ch == "-":
                     row |= 1 << j
             rows.append(row)
+        if fh.read().strip():
+            raise ValueError(f"lines after the {n} matrix rows")
     return SignMatrix(n, tuple(rows))

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from . import zmod
 
@@ -22,6 +22,30 @@ def _rotl(x: int, r: int, v: int) -> int:
 def _reverse(x: int, v: int) -> int:
     """Reverse the low v bits of x (bit i -> bit v-1-i)."""
     return int(f"{x:0{v}b}"[::-1], 2)
+
+
+def least_translate_key(v: int, members: Sequence[int]) -> int:
+    """The key of the lexicographically least translate of a set of
+    distinct residues in 0..v-1.
+
+    A set's key has member y at bit v-1-y: the bit reversal of its Block
+    mask.  Among sets of one size, the smaller sorted member list has the
+    larger key, and translating by -y rotates the key left by y.  The least
+    translate contains 0, so its key is the largest rotation that brings a
+    member to 0.  The empty set has key 0.
+    """
+    key = 0
+    for y in members:
+        key |= 1 << (v - 1 - y)
+    twice = key | key << v  # rotl(key, y) is bits v-y..2v-y-1 of twice
+    full = (1 << v) - 1
+    return max(((twice >> (v - y)) & full for y in members), default=0)
+
+
+def key_members(v: int, key: int) -> tuple[int, ...]:
+    """The sorted members of the set whose key is `key` (the inverse of the
+    layout in least_translate_key)."""
+    return Block(v, _reverse(key, v)).members()
 
 
 @dataclass(frozen=True)

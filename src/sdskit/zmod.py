@@ -91,9 +91,6 @@ class OrbitSystem:
     def orbit_index_of(self, x: int) -> int:
         return self._index[x % self.v]
 
-    def orbit_of(self, x: int) -> tuple[int, ...]:
-        return self.orbits[self.orbit_index_of(x)]
-
     @property
     def _index(self) -> dict[int, int]:
         # lazy cache; frozen dataclass, so stash via object.__setattr__

@@ -127,6 +127,25 @@ class TestVerify:
         assert code == cli.EXIT_VERIFY_FAIL
         assert out.startswith("bad-orbit: FAIL (entry bad-orbit: ")
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            "block 1 9 -3",  # read as {1, 2, 4} mod 7
+            "block 1 1 2 4",  # a repeated residue hid the declared size
+            "orbit h=2 q=3\nreps 8",  # named the orbit of 1
+        ],
+        ids=["out-of-range-block", "repeated-residue", "out-of-range-reps"],
+    )
+    def test_residues_read_as_written(self, capsys, tmp_path, data):
+        f = tmp_path / "fano.txt"
+        f.write_text(
+            "entry fano\nparams v=7 k=3 lambda=1\nstatus verified\n"
+            f"provenance test\n{data}\nend\n"
+        )
+        code, out, _ = run(capsys, "verify", "--file", str(f))
+        assert code == cli.EXIT_VERIFY_FAIL
+        assert out.startswith("fano: FAIL (entry fano: ")
+
     def test_open_entry_skipped(self, capsys):
         code, out, _ = run(capsys, "verify", "--id", "open-107-49-48-46")
         assert code == cli.EXIT_OK

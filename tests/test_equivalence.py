@@ -1,9 +1,8 @@
+import hashlib
 import math
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from sdskit import equivalence, sds
 from sdskit.catalog import entry_by_id
@@ -38,18 +37,20 @@ def _transformed(rng, f):
     return sds.DifferenceFamily(v, tuple(blocks[i] for i in perm))
 
 
-class TestLeastRotation:
-    def test_known(self):
-        assert equivalence.least_rotation([1, 0, 1, 1]) == 1
-        assert equivalence.least_rotation([2, 1, 3]) == 1
-        assert equivalence.least_rotation([0]) == 0
-
-    @given(st.lists(st.integers(0, 3), min_size=1, max_size=12))
-    def test_matches_naive(self, xs):
-        n = len(xs)
-        naive = min(range(n), key=lambda r: xs[r:] + xs[:r])
-        r = equivalence.least_rotation(xs)
-        assert xs[r:] + xs[:r] == xs[naive:] + xs[:naive]
+def _oracle_blocks(f):
+    """The canonical blocks straight from the definition: the least, over
+    units m, of the blocks scaled by m, each block at its least translate,
+    ordered by (size descending, list)."""
+    v = f.v
+    forms = []
+    for m in range(1, v):
+        if math.gcd(m, v) != 1:
+            continue
+        forms.append(sorted(
+            (-len(s), min(tuple(sorted((m * x + t) % v for x in s)) for t in range(v)))
+            for s in f.member_lists()
+        ))
+    return [b for _, b in min(forms)]
 
 
 class TestCanonicalForm:
@@ -86,6 +87,33 @@ class TestCanonicalForm:
         form = equivalence.canonical_form(f)
         keys = [(-len(b), b) for b in form.blocks]
         assert keys == sorted(keys)
+
+    def test_matches_brute_force_oracle(self):
+        rng = random.Random(13)
+        for v in range(2, 14):
+            # an empty and a full block first, then 1-3 blocks of any size
+            families = [(0, v // 2, v)]
+            families += [
+                [rng.randint(0, v) for _ in range(rng.randint(1, 3))]
+                for _ in range(40)
+            ]
+            for sizes in families:
+                f = _random_family(rng, v, sizes)
+                assert list(equivalence.canonical_form(f).blocks) == _oracle_blocks(f)
+
+    def test_corpus_forms_pinned(self, entries):
+        # the forms of every verified corpus family, as first recorded; any
+        # drift would change `equiv` verdicts and search dedup order
+        forms = tuple(
+            (e.id, equivalence.canonical_form(e.family).blocks)
+            for e in entries
+            if e.family is not None
+        )
+        assert len(forms) == 34
+        digest = hashlib.sha256(repr(forms).encode()).hexdigest()
+        assert digest == (
+            "d04cdb6743655081656e7a430a57fac6c7dbb2b96a5d83dd1d10c219fa212ff2"
+        )
 
     def test_complement_not_identified(self):
         # complementation is a separate operation, not part of equivalence

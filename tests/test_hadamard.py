@@ -51,6 +51,24 @@ class TestPredicates:
         assert not hadamard.is_skew_hadamard(m)
 
 
+class TestSignMatrixShape:
+    def test_rejects_nonpositive_order(self):
+        # an order -4 matrix with no rows passed is_skew_hadamard
+        for n in (-4, 0):
+            with pytest.raises(ValueError):
+                SignMatrix(n, ())
+
+    def test_rejects_wrong_row_count(self):
+        with pytest.raises(ValueError):
+            SignMatrix(4, (0, 3))
+
+    def test_rejects_bits_outside_row(self):
+        # a stray bit 2 made two equal ++ rows look orthogonal
+        for rows in ((0b100, 0), (-1, 0)):
+            with pytest.raises(ValueError):
+                SignMatrix(2, rows)
+
+
 def _gs_oracle(blocks):
     """The Goethals-Seidel array entry by entry from its definition: the
     circulant Z_k has entry (r, c) = a_k[(c - r) mod v], with a_k = -1 on
@@ -210,5 +228,19 @@ class TestIo:
     def test_read_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2\n+-\n+x\n")
+        with pytest.raises(ValueError):
+            hadamard.read_matrix(path)
+
+    def test_read_rejects_nonpositive_order(self, tmp_path):
+        path = tmp_path / "neg.txt"
+        path.write_text("-4\n")
+        with pytest.raises(ValueError):
+            hadamard.read_matrix(path)
+
+    def test_read_rejects_lines_after_rows(self, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("2\n++\n+-\n\n")
+        assert hadamard.read_matrix(path) == SignMatrix(2, (0, 0b10))
+        path.write_text("2\n++\n+-\n--\n")
         with pytest.raises(ValueError):
             hadamard.read_matrix(path)

@@ -38,6 +38,14 @@ class TestBlock:
                 want = Block.from_iterable(v, ((-x) % v for x in b.members()))
                 assert b.negate() == want
 
+    def test_least_translate_key_matches_definition(self):
+        for v in range(1, 11):
+            for mask in range(1 << v):
+                members = Block(v, mask).members()
+                key = sds.least_translate_key(v, members)
+                want = min(tuple(sorted((x + t) % v for x in members)) for t in range(v))
+                assert sds.key_members(v, key) == want
+
 
 class TestDifferenceCounts:
     def test_flat_family_v7(self):
