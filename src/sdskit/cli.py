@@ -7,6 +7,9 @@ Exit codes are a stable contract:
     3  verification failure
     4  Hadamard assembly or check failure
     5  existence-table mismatch
+
+Commands raise on bad input; main alone turns a KeyError, OSError or
+ValueError into "error: ..." on stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 import random
 import sys
 
-from . import catalog, equivalence, hadamard, sds, search, zmod
+from . import catalog, equivalence, hadamard, sds, search
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -34,32 +37,41 @@ def _read_corpus(path):
         return catalog.load_catalog(fh.read(), verify=False)
 
 
-def _resolve_families(tokens):
-    """Map catalog ids or corpus-format file paths to (label, family)."""
+def _resolve(tokens, is_file):
+    """Map tokens to (label, entry, entries) triples; `entries` is the list
+    the entry's compose target resolves in.
+
+    A token for which is_file holds is a corpus-format file and gives all
+    its entries, labelled <path>:<id>.  Any other token is an id in the
+    shipped corpus, which is read unverified and labelled <id>.
+    """
     out = []
     corpus = None
     for token in tokens:
-        if "/" in token or token.endswith(".txt"):
+        if is_file(token):
             entries = _read_corpus(token)
-            picked = [(f"{token}:{e.id}", e) for e in entries]
+            out += [(f"{token}:{e.id}", e, entries) for e in entries]
         else:
             if corpus is None:
                 corpus = catalog.load_default(verify=False)
-            entries = corpus
-            picked = [(token, catalog.entry_by_id(corpus, token))]
-        for label, e in picked:
-            if catalog.materialize(e, entries) is None:
-                raise ValueError(f"entry {e.id} carries no block data")
-            out.append((label, e.family))
+            out.append((token, catalog.entry_by_id(corpus, token), corpus))
     return out
 
 
+def _named(args):
+    """The entries of a command's --id list or --file (always a file)."""
+    return _resolve(args.id or [args.file], lambda _: args.file is not None)
+
+
+def _family(entry, entries):
+    """The entry's verified family; an entry without one is bad input."""
+    if catalog.materialize(entry, entries) is None:
+        raise ValueError(f"entry {entry.id} carries no block data")
+    return entry.family
+
+
 def cmd_params(args) -> int:
-    try:
-        psets = sds.enumerate_P(args.v)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    psets = sds.enumerate_P(args.v)
     if args.format == "json":
         print(
             json.dumps(
@@ -76,17 +88,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        if args.id:
-            entries = catalog.load_default(verify=False)
-            targets = [catalog.entry_by_id(entries, eid) for eid in args.id]
-        else:
-            entries = targets = _read_corpus(args.file)
-    except (KeyError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     status = EXIT_OK
-    for e in targets:
+    for _, e, entries in _named(args):
         if e.status != "verified":
             print(f"{e.id}: SKIP (status {e.status}, no data)")
             continue
@@ -118,15 +121,12 @@ def cmd_search(args) -> int:
         taken = {e.id for e in _read_corpus(args.out)} if args.out else set()
     except FileNotFoundError:
         taken = set()
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     seed = args.seed
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)
         print(f"seed: {seed} (pass --seed {seed} to reproduce)")
+    sizes = tuple(int(t) for t in args.sizes.split(","))
     try:
-        sizes = tuple(int(t) for t in args.sizes.split(","))
         if args.skew_gs:
             sels = search.search_skew_gs(
                 args.v, sizes, args.q, budget=args.budget, seed=seed,
@@ -136,8 +136,7 @@ def cmd_search(args) -> int:
         else:
             lam = sds.derive_lambda(args.v, sizes)
             if lam is None:
-                print("error: sizes admit no integral lambda", file=sys.stderr)
-                return EXIT_BAD_INPUT
+                raise ValueError("sizes admit no integral lambda")
             p = sds.ParameterSet(args.v, sizes, lam)
             sels = search.search_sds(
                 p, args.q, budget=args.budget, seed=seed,
@@ -147,9 +146,6 @@ def cmd_search(args) -> int:
         print("infeasible for the orbit method:")
         for r in exc.reasons:
             print(f"  {r}")
-        return EXIT_BAD_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     if not sels:
         print("no family found within budget (not a nonexistence proof)")
@@ -181,11 +177,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_hadamard(args) -> int:
-    try:
-        fams = _resolve_families(args.id or [args.file])
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    fams = [(label, _family(e, entries)) for label, e, entries in _named(args)]
     status = EXIT_OK
     for label, fam in fams:
         if args.paley_todd:
@@ -208,11 +200,9 @@ def cmd_hadamard(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    try:
-        fams = _resolve_families(args.ids)
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    # a token containing "/" or ending in ".txt" names a corpus file
+    named = _resolve(args.ids, lambda t: "/" in t or t.endswith(".txt"))
+    fams = [(label, _family(e, entries)) for label, e, entries in named]
     forms = [(label, equivalence.canonical_form(f)) for label, f in fams]
     for i in range(len(forms)):
         for j in range(i + 1, len(forms)):
@@ -312,9 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (KeyError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -31,8 +31,8 @@ def canonical_form(f: sds.DifferenceFamily) -> CanonicalForm:
     block permutations.  Idempotent."""
     v = f.v
     member_lists = f.member_lists()
-    best = []  # no blocks, or no multiplier at v = 1
-    for m in range(1, v):
+    best = []
+    for m in range(1, v + 1):  # m = v is a unit only at v = 1
         if math.gcd(m, v) != 1:
             continue
         cand = sorted(

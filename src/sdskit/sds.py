@@ -209,9 +209,10 @@ def verify_sds(f: DifferenceFamily, lam: int) -> VerifyReport:
 
 
 def derive_lambda(v: int, sizes: Iterable[int]) -> Optional[int]:
-    """lambda from the counting identity, or None when non-integral."""
+    """lambda from the counting identity, or None when non-integral or
+    v < 2 (where the identity does not fix lambda)."""
     total = sum(k * (k - 1) for k in sizes)
-    if total % (v - 1):
+    if v < 2 or total % (v - 1):
         return None
     return total // (v - 1)
 

@@ -3,7 +3,7 @@ and quadratic residues."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
 # (covers 64-bit inputs unconditionally).
@@ -76,32 +76,22 @@ class OrbitSystem:
 
     h has prime order q, so the orbit of 0 is {0} and every other orbit
     has exactly q elements.  Orbits are sorted internally and listed in
-    increasing order of their minimum element (the representative).
+    increasing order of their minimum element (the representative);
+    index[x] is the number of x's orbit.
     """
 
     v: int
     h: int
     q: int
     orbits: tuple[tuple[int, ...], ...]
+    index: tuple[int, ...] = field(repr=False)
 
     @property
     def reps(self) -> tuple[int, ...]:
         return tuple(o[0] for o in self.orbits)
 
     def orbit_index_of(self, x: int) -> int:
-        return self._index[x % self.v]
-
-    @property
-    def _index(self) -> dict[int, int]:
-        # lazy cache; frozen dataclass, so stash via object.__setattr__
-        cached = self.__dict__.get("_index_cache")
-        if cached is None:
-            cached = {}
-            for i, orb in enumerate(self.orbits):
-                for x in orb:
-                    cached[x] = i
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
+        return self.index[x % self.v]
 
 
 def orbit_system(v: int, h: int) -> OrbitSystem:
@@ -115,20 +105,19 @@ def orbit_system(v: int, h: int) -> OrbitSystem:
     q = multiplicative_order(v, h)
     if not is_prime(q):
         raise ValueError(f"order of h={h} is {q}, not prime")
-    seen = [False] * v
+    index = [None] * v
     orbits: list[tuple[int, ...]] = []
-    for j in range(v):
-        if seen[j]:
+    for j in range(v):  # j is the least member of each new orbit
+        if index[j] is not None:
             continue
         orb = []
         x = j
-        while not seen[x]:
-            seen[x] = True
+        while index[x] is None:
+            index[x] = len(orbits)
             orb.append(x)
             x = x * h % v
         orbits.append(tuple(sorted(orb)))
-    orbits.sort(key=lambda o: o[0])
-    return OrbitSystem(v=v, h=h, q=q, orbits=tuple(orbits))
+    return OrbitSystem(v=v, h=h, q=q, orbits=tuple(orbits), index=tuple(index))
 
 
 def quadratic_residues(v: int):

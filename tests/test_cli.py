@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sdskit import cli, hadamard, sds
+from sdskit import catalog, cli, hadamard, sds
 
 GOOD_CORPUS = """\
 entry demo-7
@@ -193,6 +193,16 @@ class TestSearch:
         assert code == cli.EXIT_OK
         assert out.count("PASS") == 2
 
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "f.txt"
+        code, _, err = run(
+            capsys, "search", "19", "9,7,6", "--q", "3", "--seed", "1",
+            "--out", str(out_file),
+        )
+        assert code == cli.EXIT_BAD_INPUT
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_unparsable_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "found.txt"
         out_file.write_text("not a corpus\n")
@@ -293,6 +303,41 @@ class TestHadamard:
         code, _, err = run(capsys, "hadamard", "--file", str(f))
         assert code == cli.EXIT_BAD_INPUT
         assert "carries no block data" in err
+
+
+def _one_entry_corpus(path, eid):
+    entries = catalog.load_default(verify=False)
+    path.write_text(catalog.emit_catalog([catalog.entry_by_id(entries, eid)]))
+
+
+class TestNamedFiles:
+    """--file always names a file; an equiv token is a file only when it
+    contains "/" or ends in ".txt"."""
+
+    def test_hadamard_file_without_slash(self, capsys, tmp_path, monkeypatch):
+        _one_entry_corpus(tmp_path / "mycorpus", "gs1324-family1")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "hadamard", "--file", "mycorpus")
+        assert code == cli.EXIT_OK
+        assert out == (
+            "mycorpus:gs1324-family1: PASS skew-Hadamard of order 1324\n"
+        )
+
+    def test_equiv_relative_file_and_id(self, capsys, tmp_path, monkeypatch):
+        _one_entry_corpus(tmp_path / "mycorpus", "gs1324-family1")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "equiv", "./mycorpus", "gs1324-family2")
+        assert code == cli.EXIT_OK
+        assert out == (
+            "./mycorpus:gs1324-family1 vs gs1324-family2: NONEQUIVALENT\n"
+        )
+
+    def test_equiv_bare_name_is_an_id(self, capsys, tmp_path, monkeypatch):
+        _one_entry_corpus(tmp_path / "mycorpus", "gs1324-family1")
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "equiv", "mycorpus")
+        assert code == cli.EXIT_BAD_INPUT
+        assert err.startswith("error: ") and "mycorpus" in err
 
 
 class TestEquiv:

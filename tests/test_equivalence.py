@@ -43,7 +43,7 @@ def _oracle_blocks(f):
     ordered by (size descending, list)."""
     v = f.v
     forms = []
-    for m in range(1, v):
+    for m in range(1, v + 1):
         if math.gcd(m, v) != 1:
             continue
         forms.append(sorted(
@@ -90,7 +90,7 @@ class TestCanonicalForm:
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(13)
-        for v in range(2, 14):
+        for v in range(1, 14):
             # an empty and a full block first, then 1-3 blocks of any size
             families = [(0, v // 2, v)]
             families += [

@@ -98,6 +98,11 @@ class TestDeriveLambda:
     def test_non_integral(self):
         assert sds.derive_lambda(7, [2, 2, 1]) is None
 
+    def test_v_below_2(self):
+        # lambda * (v - 1) is 0 for every lambda: none is derived
+        assert sds.derive_lambda(1, [0]) is None
+        assert sds.derive_lambda(0, [1, 1]) is None
+
 
 class TestParameterSet:
     def test_n_and_in_P(self):
