@@ -19,6 +19,7 @@ import itertools
 import json
 import random
 import sys
+from contextlib import nullcontext
 
 from . import catalog, equivalence, hadamard, sds, search
 
@@ -117,62 +118,62 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        taken = {e.id for e in _read_corpus(args.out)} if args.out else set()
-    except FileNotFoundError:
+    # --out is opened before the search, so an unwritable path fails first
+    with open(args.out, "a+", encoding="ascii") if args.out else nullcontext() as fh:
         taken = set()
-    seed = args.seed
-    if seed is None:
-        seed = random.SystemRandom().randrange(2**32)
-        print(f"seed: {seed} (pass --seed {seed} to reproduce)")
-    sizes = tuple(int(t) for t in args.sizes.split(","))
-    try:
-        if args.skew_gs:
-            sels = search.search_skew_gs(
-                args.v, sizes, args.q, budget=args.budget, seed=seed,
-                workers=args.workers, want=args.want,
+        if fh:
+            fh.seek(0)
+            taken = {e.id for e in catalog.load_catalog(fh.read(), verify=False)}
+        seed = args.seed
+        if seed is None:
+            seed = random.SystemRandom().randrange(2**32)
+            print(f"seed: {seed} (pass --seed {seed} to reproduce)")
+        sizes = tuple(int(t) for t in args.sizes.split(","))
+        try:
+            if args.skew_gs:
+                sels = search.search_skew_gs(
+                    args.v, sizes, args.q, budget=args.budget, seed=seed,
+                    workers=args.workers, want=args.want,
+                )
+                lam = sum(sizes) - args.v
+            else:
+                lam = sds.derive_lambda(args.v, sizes)
+                if lam is None:
+                    raise ValueError("sizes admit no integral lambda")
+                p = sds.ParameterSet(args.v, sizes, lam)
+                sels = search.search_sds(
+                    p, args.q, budget=args.budget, seed=seed,
+                    workers=args.workers, want=args.want,
+                )
+        except search.InfeasibleError as exc:
+            print("infeasible for the orbit method:")
+            for r in exc.reasons:
+                print(f"  {r}")
+            return EXIT_BAD_INPUT
+        if not sels:
+            print("no family found within budget (not a nonexistence proof)")
+            return EXIT_OK
+        # ids already in --out are skipped, so appending never duplicates one
+        prefix = f"found-{args.v}-q{args.q}-s{seed}-"
+        ids = (f"{prefix}{i}" for i in itertools.count(1))
+        fresh = (eid for eid in ids if eid not in taken)
+        entries = []
+        for sel, eid in zip(sels, fresh):
+            entries.append(
+                catalog.CatalogEntry(
+                    id=eid,
+                    params=sds.ParameterSet(args.v, sizes, lam),
+                    status="verified",
+                    provenance=f"search v={args.v} q={args.q} seed={seed}",
+                    orbit=(sel.orbsys.h, sel.orbsys.q, sel.reps_per_block),
+                )
             )
-            lam = sum(sizes) - args.v
-        else:
-            lam = sds.derive_lambda(args.v, sizes)
-            if lam is None:
-                raise ValueError("sizes admit no integral lambda")
-            p = sds.ParameterSet(args.v, sizes, lam)
-            sels = search.search_sds(
-                p, args.q, budget=args.budget, seed=seed,
-                workers=args.workers, want=args.want,
-            )
-    except search.InfeasibleError as exc:
-        print("infeasible for the orbit method:")
-        for r in exc.reasons:
-            print(f"  {r}")
-        return EXIT_BAD_INPUT
-    if not sels:
-        print("no family found within budget (not a nonexistence proof)")
-        return EXIT_OK
-    # ids already in --out are skipped, so appending never duplicates one
-    prefix = f"found-{args.v}-q{args.q}-s{seed}-"
-    ids = (f"{prefix}{i}" for i in itertools.count(1))
-    fresh = (eid for eid in ids if eid not in taken)
-    entries = []
-    for sel, eid in zip(sels, fresh):
-        entries.append(
-            catalog.CatalogEntry(
-                id=eid,
-                params=sds.ParameterSet(args.v, sizes, lam),
-                status="verified",
-                provenance=f"search v={args.v} q={args.q} seed={seed}",
-                orbit=(sel.orbsys.h, sel.orbsys.q, sel.reps_per_block),
-            )
-        )
-        print(f"found {eid}: reps {sel.reps_per_block}")
-    text = catalog.emit_catalog(entries)
-    if args.out:
-        with open(args.out, "a") as fh:
+            print(f"found {eid}: reps {sel.reps_per_block}")
+        if fh:
             if fh.tell():
                 fh.write("\n")  # the file may not end in a newline
-            fh.write(text)
-        print(f"appended {len(entries)} entries to {args.out}")
+            fh.write(catalog.emit_catalog(entries))
+            print(f"appended {len(entries)} entries to {args.out}")
     return EXIT_OK
 
 
@@ -275,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1,
                    help="split the local-search budget into N seeded streams "
-                        "run one after another (the exhaustive engine "
-                        "ignores it and the seed)")
+                        "(at most one per budget unit) run one after another "
+                        "(the exhaustive engine ignores it and the seed)")
     p.add_argument("--want", type=int, default=1)
     p.add_argument("--skew-gs", action="store_true", help="4-block skew search")
     p.add_argument("--out", help="append found families to this corpus file")
@@ -306,7 +307,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (KeyError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

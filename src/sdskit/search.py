@@ -5,7 +5,9 @@ which shrinks the search space from subsets of Z_v to subsets of orbit
 representatives.  Each orbit is one bit mask and a block is the OR of its
 orbits' masks.  A block is H-invariant, so its difference counts are
 constant on each orbit: they are kept only at the (v-1)/q nonzero orbit
-representatives, by sds.Block.difference_counts.  Two engines are provided:
+representatives, by sds.Block.difference_counts.  Each block reaches the
+engines as a spec (fixed, groups): it holds the orbits in fixed and exactly
+m orbits of each (orbits, m) in groups.  Two engines are provided:
 exhaustive backtracking with count pruning for small orbit counts, and
 randomized-restart local search with single-orbit swaps otherwise.
 """
@@ -38,7 +40,6 @@ class BlockPlan:
     """How one block decomposes into orbits: m nontrivial orbits plus
     optionally the zero orbit."""
 
-    size: int
     orbit_count: int
     include_zero: bool
 
@@ -58,9 +59,9 @@ def feasibility(v: int, sizes: Sequence[int], q: int) -> list[BlockPlan]:
     bad = []
     for i, k in enumerate(sizes):
         if k % q == 0:
-            plans.append(BlockPlan(k, k // q, False))
+            plans.append(BlockPlan(k // q, False))
         elif k % q == 1:
-            plans.append(BlockPlan(k, (k - 1) // q, True))
+            plans.append(BlockPlan((k - 1) // q, True))
         else:
             bad.append(
                 f"block {i}: q={q} divides neither k={k} nor v-k={v - k}"
@@ -117,39 +118,37 @@ def _selection_from_indices(orbsys: OrbitSystem, blocks) -> OrbitSelection:
     return OrbitSelection(orbsys, reps)
 
 
-def _exhaustive(orbsys, plans, lam, budget, want, skew_pairs=None):
-    """Backtracking over per-block orbit combinations, pruning any block
-    choice that pushes a running count past lambda.
+def _choices(fixed, groups):
+    """Every orbit list the spec (fixed, groups) allows, lazily, in
+    itertools.product order over the groups' combinations."""
+    (g, m), rest = groups[0], groups[1:]
+    heads = map(fixed.__add__, map(list, itertools.combinations(g, m)))
+    if not rest:
+        return heads
+    return itertools.chain.from_iterable(_choices(h, rest) for h in heads)
 
-    If skew_pairs is given, block 0 instead picks one orientation per
-    negation-paired orbit couple (the structural skew constraint).
-    """
+
+def _exhaustive(orbsys, specs, lam, budget, want):
+    """Backtracking over per-block orbit choices, pruning any block choice
+    that pushes a running count past lambda."""
     v = orbsys.v
     reps = orbsys.reps[1:]
     masks = _orbit_masks(orbsys)
-    free = range(1, len(masks))
     found = []
     nodes = 0
-
-    def block_choices(bi):
-        if skew_pairs is not None and bi == 0:
-            return itertools.product(*skew_pairs)
-        return itertools.combinations(free, plans[bi].orbit_count)
 
     def recurse(bi, partial, counts):
         nonlocal nodes
         if len(found) >= want or nodes >= budget:
             return
-        if bi == len(plans):
+        if bi == len(specs):
             if all(c == lam for c in counts):
                 found.append(partial)
             return
-        base = [0] if plans[bi].include_zero else []
-        for combo in block_choices(bi):
+        for block in _choices(*specs[bi]):
             nodes += 1
             if nodes >= budget:
                 return
-            block = base + list(combo)
             added = sds.Block(v, _union(masks, block)).difference_counts(reps)
             total = [c + d for c, d in zip(counts, added)]
             if max(total) <= lam:
@@ -161,66 +160,54 @@ def _exhaustive(orbsys, plans, lam, budget, want, skew_pairs=None):
     return found
 
 
-def _local_search(orbsys, plans, lam, budget, want, rng, skew_pairs=None):
+def _local_search(orbsys, specs, lam, budget, want, rng):
     """Randomized restarts + steepest single-orbit swap descent on the sum
     of squared deviations of the difference counts from lambda.
 
-    A move replaces one orbit of one block; in the skew block 0 it swaps
-    an orbit for its negation.  Its cost is the family total with the old
-    block's counts taken out and the new block's put in.
+    A move swaps one orbit a block took from a group for an orbit of the
+    same group that the block lacks.  Its cost is the family total with
+    the old block's counts taken out and the new block's put in.
     """
     v = orbsys.v
     reps = orbsys.reps[1:]
     masks = _orbit_masks(orbsys)
-    free = list(range(1, len(masks)))
     found = []
     seen_keys = set()
     evals = 0
 
-    def random_state():
-        blocks = []
-        if skew_pairs is not None:
-            blocks.append([rng.choice(pair) for pair in skew_pairs])
-        start = 1 if skew_pairs is not None else 0
-        for plan in plans[start:]:
-            base = [0] if plan.include_zero else []
-            blocks.append(base + rng.sample(free, plan.orbit_count))
-        return blocks
-
     def counts_of(mask):
         return sds.Block(v, mask).difference_counts(reps)
 
+    def orbit_lists(picks):
+        return [fixed + sum(pick, []) for (fixed, _), pick in zip(specs, picks)]
+
     while evals < budget and len(found) < want:
-        blocks = random_state()
-        block_masks = [_union(masks, b) for b in blocks]
+        # picks[bi][gi] lists the orbits block bi holds from its group gi
+        picks = [[rng.sample(g, m) for g, m in groups] for _, groups in specs]
+        block_masks = [_union(masks, b) for b in orbit_lists(picks)]
         block_counts = [counts_of(m) for m in block_masks]
         total = [sum(col) for col in zip(*block_counts)]
         cost = sum((t - lam) ** 2 for t in total)
         sideways = 0
         while evals < budget:
             if cost == 0:
+                blocks = orbit_lists(picks)
                 key = tuple(tuple(sorted(b)) for b in blocks)
                 if key not in seen_keys:
                     seen_keys.add(key)
-                    found.append([list(b) for b in blocks])
+                    found.append(blocks)
                 break
             best = None
             moves = []
-            for bi, block in enumerate(blocks):
-                in_block = set(block)
-                if skew_pairs is not None and bi == 0:
-                    # block 0 holds one orbit of each pair: flip one pair
-                    for a, b in skew_pairs:
-                        moves.append((bi, a, b) if a in in_block else (bi, b, a))
-                    continue
-                for o_out in block:
-                    if o_out == 0:
-                        continue
-                    for o_in in free:
-                        if o_in not in in_block:
-                            moves.append((bi, o_out, o_in))
+            for bi, pick in enumerate(picks):
+                for (g, _), chosen in zip(specs[bi][1], pick):
+                    held = set(chosen)
+                    for o_out in chosen:
+                        for o_in in g:
+                            if o_in not in held:
+                                moves.append((bi, chosen, o_out, o_in))
             rng.shuffle(moves)
-            for bi, o_out, o_in in moves:
+            for bi, chosen, o_out, o_in in moves:
                 evals += 1
                 new = counts_of(block_masks[bi] ^ masks[o_out] ^ masks[o_in])
                 c = sum(
@@ -228,12 +215,12 @@ def _local_search(orbsys, plans, lam, budget, want, rng, skew_pairs=None):
                     for t, old, n in zip(total, block_counts[bi], new)
                 )
                 if best is None or c < best[0]:
-                    best = (c, bi, o_out, o_in, new)
+                    best = (c, bi, chosen, o_out, o_in, new)
                 if evals >= budget:
                     break
             if best is None:
                 break
-            c, bi, o_out, o_in, new = best
+            c, bi, chosen, o_out, o_in, new = best
             if c > cost or (c == cost and sideways >= 10):
                 break  # local optimum; restart
             if c == cost:
@@ -243,8 +230,8 @@ def _local_search(orbsys, plans, lam, budget, want, rng, skew_pairs=None):
             total = [t - old + n for t, old, n in zip(total, block_counts[bi], new)]
             block_counts[bi] = new
             block_masks[bi] ^= masks[o_out] ^ masks[o_in]
-            blocks[bi].remove(o_out)
-            blocks[bi].append(o_in)
+            chosen.remove(o_out)
+            chosen.append(o_in)
             cost = c
     return found
 
@@ -258,18 +245,47 @@ def _dedup_and_sort(orbsys, raw_blocks_list):
     return [out[k] for k in sorted(out)]
 
 
-def _run(orbsys, plans, lam, budget, seed, workers, want, skew_pairs=None):
+def _run(orbsys, specs, lam, budget, seed, workers, want):
+    """Run one engine on the block specs; merge results by canonical form.
+
+    A free block's spec is ([0] or [], [(all nontrivial orbits, m)]); the
+    skew block's is ([], [(pair, 1) for each negation pair]).  The local
+    engine splits the budget over min(workers, budget) seeded streams.
+    """
     if len(orbsys.orbits) - 1 <= EXHAUSTIVE_ORBIT_LIMIT:
-        raw = _exhaustive(orbsys, plans, lam, budget, want, skew_pairs)
+        raw = _exhaustive(orbsys, specs, lam, budget, want)
     else:
         raw = []
-        per_worker = max(1, budget // max(1, workers))
-        for w in range(max(1, workers)):
+        streams = max(1, min(workers, budget))
+        per_stream = max(1, budget // streams)
+        for w in range(streams):
             rng = random.Random(f"{seed}:{w}")
-            raw.extend(
-                _local_search(orbsys, plans, lam, per_worker, want, rng, skew_pairs)
-            )
+            raw += _local_search(orbsys, specs, lam, per_stream, want, rng)
     return _dedup_and_sort(orbsys, raw)
+
+
+def _search(v, sizes, lam, q, budget, seed, workers, want, skew):
+    """The search behind search_sds and, with skew, search_skew_gs."""
+    plans = feasibility(v, sizes, q)
+    if skew and plans[0].include_zero:
+        raise ValueError("skew first block cannot contain 0")
+    orbsys = zmod.orbit_system(v, zmod.element_of_order(v, q))
+    free = range(1, len(orbsys.orbits))
+    specs = [
+        ([0] if plan.include_zero else [], [(free, plan.orbit_count)])
+        for plan in plans
+    ]
+    if skew:
+        specs[0] = ([], [(pair, 1) for pair in negation_pairs(orbsys)])
+    sels = _run(orbsys, specs, lam, budget, seed, workers, want)
+    for sel in sels:
+        if not verify_selection(sel, lam) or (
+            skew and not sds.is_skew(expand(sel).blocks[0])
+        ):
+            raise RuntimeError(
+                f"search returned {sel.reps_per_block}, which fails to verify"
+            )
+    return sels
 
 
 def search_sds(
@@ -285,18 +301,10 @@ def search_sds(
     Every returned selection expands to a family passing verify_sds at
     p.lam.  Deterministic for fixed (seed, workers); an empty result only
     means the budget was exhausted, not nonexistence.  The local engine
-    splits its budget into `workers` seeded streams that run one after
-    another; the exhaustive engine ignores both `workers` and `seed`.
+    splits its budget over min(workers, budget) seeded streams run one
+    after another; the exhaustive engine ignores `workers` and `seed`.
     """
-    plans = feasibility(p.v, p.sizes, q)
-    orbsys = zmod.orbit_system(p.v, zmod.element_of_order(p.v, q))
-    sels = _run(orbsys, plans, p.lam, budget, seed, workers, want)
-    for sel in sels:
-        if not verify_selection(sel, p.lam):
-            raise RuntimeError(
-                f"search returned {sel.reps_per_block}, which fails to verify"
-            )
-    return sels
+    return _search(p.v, p.sizes, p.lam, q, budget, seed, workers, want, False)
 
 
 def negation_pairs(orbsys: OrbitSystem) -> list[tuple[int, int]]:
@@ -340,21 +348,7 @@ def search_skew_gs(
     lam0 = sum(sizes) - v
     if sds.derive_lambda(v, sizes) != lam0:
         raise ValueError("sizes do not admit an order-v family")
-    plans = feasibility(v, sizes, q)
-    if plans[0].include_zero:
-        raise ValueError("skew first block cannot contain 0")
-    orbsys = zmod.orbit_system(v, zmod.element_of_order(v, q))
-    pairs = negation_pairs(orbsys)
-    if len(pairs) != plans[0].orbit_count:
-        raise ValueError("first block must take one orbit from every pair")
-    sels = _run(orbsys, plans, lam0, budget, seed, workers, want, skew_pairs=pairs)
-    for sel in sels:
-        fam = expand(sel)
-        if not (sds.verify_sds(fam, lam0) and sds.is_skew(fam.blocks[0])):
-            raise RuntimeError(
-                f"search returned {sel.reps_per_block}, which is not a skew family"
-            )
-    return sels
+    return _search(v, sizes, lam0, q, budget, seed, workers, want, True)
 
 
 def verify_selection(sel: OrbitSelection, lam: int) -> bool:

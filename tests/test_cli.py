@@ -59,6 +59,7 @@ class TestVerify:
     def test_unknown_id(self, capsys):
         code, _, err = run(capsys, "verify", "--id", "nope")
         assert code == cli.EXIT_BAD_INPUT
+        assert err == "error: no catalog entry with id 'nope'\n"
 
     def test_file_pass(self, capsys, tmp_path):
         f = tmp_path / "good.txt"
@@ -195,13 +196,15 @@ class TestSearch:
 
     def test_out_in_missing_directory(self, capsys, tmp_path):
         out_file = tmp_path / "missing" / "f.txt"
-        code, _, err = run(
+        code, out, err = run(
             capsys, "search", "19", "9,7,6", "--q", "3", "--seed", "1",
             "--out", str(out_file),
         )
         assert code == cli.EXIT_BAD_INPUT
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        # --out is opened before the search, so nothing is found and lost
+        assert "found " not in out
 
     def test_unparsable_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "found.txt"

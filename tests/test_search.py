@@ -178,6 +178,25 @@ class TestSearchSds:
         b = search.search_sds(p, 3, budget=100_000, seed=5, workers=3)
         assert a == b and a
 
+    def test_streams_capped_by_budget(self, monkeypatch):
+        # more workers than budget units must not spend more than the budget
+        monkeypatch.setattr(search, "EXHAUSTIVE_ORBIT_LIMIT", 0)
+        real = sds.Block.difference_counts
+        calls = []
+
+        def counting(block, residues):
+            calls.append(1)
+            return real(block, residues)
+
+        monkeypatch.setattr(sds.Block, "difference_counts", counting)
+        p = sds.ParameterSet(103, (49, 49, 42), 63)
+        made = []
+        for workers in (100, 1000):
+            calls.clear()
+            search.search_sds(p, 3, budget=100, seed=0, workers=workers)
+            made.append(len(calls))
+        assert made[0] == made[1]
+
 
 class TestSearchSkewGs:
     def test_structural_filter_v7(self):
@@ -211,6 +230,33 @@ class TestSearchSkewGs:
         ]
         fam = search.expand(sels[0])
         assert sds.verify_sds(fam, 12).ok and sds.is_skew(fam.blocks[0])
+
+    def test_v43_exhaustive_pinned(self):
+        (sel,) = search.search_skew_gs(43, (21, 21, 21, 15), 7, seed=1)
+        assert sel.reps_per_block == ((1, 3, 7), (1, 2, 7), (1, 3, 9), (0, 1, 6))
+
+    def test_v43_local_streams_pinned(self, monkeypatch):
+        # several seeded streams, each finding up to `want`, merged by
+        # canonical form
+        monkeypatch.setattr(search, "EXHAUSTIVE_ORBIT_LIMIT", 0)
+        sels = search.search_skew_gs(
+            43, (21, 21, 21, 15), 7, budget=200_000, seed=1, workers=3, want=2
+        )
+        assert [s.reps_per_block for s in sels] == [
+            ((1, 6, 7), (1, 3, 6), (3, 7, 9), (0, 1, 3)),
+            ((2, 6, 9), (6, 7, 9), (1, 2, 7), (0, 1, 2)),
+            ((1, 3, 7), (1, 2, 7), (2, 6, 7), (0, 2, 3)),
+            ((2, 3, 7), (2, 3, 6), (3, 7, 9), (0, 2, 3)),
+        ]
+        for sel in sels:
+            fam = search.expand(sel)
+            assert sds.verify_sds(fam, 35).ok and sds.is_skew(fam.blocks[0])
+
+    @pytest.mark.parametrize("v,sizes", [(17, (8, 7, 7, 5)), (19, (9, 9, 7, 6))])
+    def test_q2_rejected(self, v, sizes):
+        # -1 lies in the order-2 subgroup: no negation pairing exists
+        with pytest.raises(ValueError):
+            search.search_skew_gs(v, sizes, 2)
 
     def test_non_skew_result_raises(self, monkeypatch):
         monkeypatch.setattr(sds, "is_skew", lambda b: False)
