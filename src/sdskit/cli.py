@@ -91,14 +91,14 @@ def cmd_params(args) -> int:
 def cmd_verify(args) -> int:
     status = EXIT_OK
     for _, e, entries in _named(args):
-        if e.status != "verified":
-            print(f"{e.id}: SKIP (status {e.status}, no data)")
-            continue
         try:
             fam = catalog.materialize(e, entries)
         except catalog.CatalogIntegrityError as exc:
             print(f"{e.id}: FAIL ({exc})")
             status = EXIT_VERIFY_FAIL
+            continue
+        if fam is None:
+            print(f"{e.id}: SKIP (status {e.status}, no data)")
             continue
         # materialize has verified the family at its declared lambda
         if args.lam is None:
@@ -272,7 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("v", type=int)
     p.add_argument("sizes", help="comma-separated block sizes")
     p.add_argument("--q", type=int, required=True, help="prime orbit order")
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=int, default=1_000_000,
+                   help="units of work: one block choice evaluated "
+                        "(exhaustive engine) or one move evaluated (local "
+                        "engine); a local restart's initial counts are "
+                        "not charged")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1,
                    help="split the local-search budget into N seeded streams "

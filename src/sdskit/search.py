@@ -2,14 +2,17 @@
 
 Blocks are built as unions of orbits of a prime-order subgroup H of Z_v^*,
 which shrinks the search space from subsets of Z_v to subsets of orbit
-representatives.  Each orbit is one bit mask and a block is the OR of its
-orbits' masks.  A block is H-invariant, so its difference counts are
-constant on each orbit: they are kept only at the (v-1)/q nonzero orbit
-representatives, by sds.Block.difference_counts.  Each block reaches the
-engines as a spec (fixed, groups): it holds the orbits in fixed and exactly
-m orbits of each (orbits, m) in groups.  Two engines are provided:
-exhaustive backtracking with count pruning for small orbit counts, and
-randomized-restart local search with single-orbit swaps otherwise.
+representatives.  Each orbit is one sds.Block mask and a block is the sum
+of its disjoint orbits' masks.  A block is H-invariant, so its difference
+counts are constant on each orbit: they are kept only at the (v-1)/q
+nonzero orbit representatives, by sds.Block.difference_counts.  Each block
+reaches the engines as a spec (fixed, groups) of masks: it holds the mask
+fixed and exactly m items of each (items, m) in groups, where an item is
+the mask of one orbit or of a set of orbits taken together.  Two engines
+are provided: exhaustive backtracking with count pruning for small orbit
+counts, and randomized-restart local search with single-item swaps
+otherwise.  Both see only masks; _run turns their results back into
+OrbitSelections.
 """
 
 from __future__ import annotations
@@ -100,59 +103,39 @@ def expand(sel: OrbitSelection) -> sds.DifferenceFamily:
     return sds.DifferenceFamily(osys.v, tuple(blocks))
 
 
-def _orbit_masks(orbsys: OrbitSystem) -> list[int]:
-    return [sds.Block.from_iterable(orbsys.v, orb).mask for orb in orbsys.orbits]
-
-
-def _union(masks, block) -> int:
-    mask = 0
-    for o in block:
-        mask |= masks[o]
-    return mask
-
-
-def _selection_from_indices(orbsys: OrbitSystem, blocks) -> OrbitSelection:
-    reps = tuple(
-        tuple(sorted(orbsys.orbits[i][0] for i in block)) for block in blocks
-    )
-    return OrbitSelection(orbsys, reps)
-
-
 def _choices(fixed, groups):
-    """Every orbit list the spec (fixed, groups) allows, lazily, in
+    """Every block mask the spec (fixed, groups) allows, lazily, in
     itertools.product order over the groups' combinations."""
-    (g, m), rest = groups[0], groups[1:]
-    heads = map(fixed.__add__, map(list, itertools.combinations(g, m)))
+    (items, m), rest = groups[0], groups[1:]
+    heads = map(fixed.__add__, map(sum, itertools.combinations(items, m)))
     if not rest:
         return heads
     return itertools.chain.from_iterable(_choices(h, rest) for h in heads)
 
 
-def _exhaustive(orbsys, specs, lam, budget, want):
-    """Backtracking over per-block orbit choices, pruning any block choice
-    that pushes a running count past lambda."""
-    v = orbsys.v
-    reps = orbsys.reps[1:]
-    masks = _orbit_masks(orbsys)
+def _exhaustive(v, reps, specs, lam, budget, want):
+    """Backtracking over per-block choices, pruning any block choice that
+    pushes a running count past lambda; each choice evaluated is one unit
+    of the budget."""
     found = []
     nodes = 0
 
     def recurse(bi, partial, counts):
         nonlocal nodes
-        if len(found) >= want or nodes >= budget:
+        if len(found) >= want:
             return
         if bi == len(specs):
             if all(c == lam for c in counts):
                 found.append(partial)
             return
-        for block in _choices(*specs[bi]):
-            nodes += 1
+        for mask in _choices(*specs[bi]):
             if nodes >= budget:
                 return
-            added = sds.Block(v, _union(masks, block)).difference_counts(reps)
+            nodes += 1
+            added = sds.Block(v, mask).difference_counts(reps)
             total = [c + d for c, d in zip(counts, added)]
             if max(total) <= lam:
-                recurse(bi + 1, partial + [block], total)
+                recurse(bi + 1, partial + [mask], total)
             if len(found) >= want:
                 return
 
@@ -160,42 +143,35 @@ def _exhaustive(orbsys, specs, lam, budget, want):
     return found
 
 
-def _local_search(orbsys, specs, lam, budget, want, rng):
-    """Randomized restarts + steepest single-orbit swap descent on the sum
+def _local_search(v, reps, specs, lam, budget, want, rng):
+    """Randomized restarts + steepest single-item swap descent on the sum
     of squared deviations of the difference counts from lambda.
 
-    A move swaps one orbit a block took from a group for an orbit of the
-    same group that the block lacks.  Its cost is the family total with
-    the old block's counts taken out and the new block's put in.
+    A move swaps one item a block took from a group for an item of the
+    same group that the block lacks, and is one unit of the budget.  Its
+    cost is the family total with the old block's counts taken out and the
+    new block's put in.  A restart's initial counts are not charged.
     """
-    v = orbsys.v
-    reps = orbsys.reps[1:]
-    masks = _orbit_masks(orbsys)
     found = []
-    seen_keys = set()
     evals = 0
 
     def counts_of(mask):
         return sds.Block(v, mask).difference_counts(reps)
 
-    def orbit_lists(picks):
-        return [fixed + sum(pick, []) for (fixed, _), pick in zip(specs, picks)]
-
     while evals < budget and len(found) < want:
-        # picks[bi][gi] lists the orbits block bi holds from its group gi
+        # picks[bi][gi] lists the items block bi holds from its group gi
         picks = [[rng.sample(g, m) for g, m in groups] for _, groups in specs]
-        block_masks = [_union(masks, b) for b in orbit_lists(picks)]
+        block_masks = [
+            fixed + sum(map(sum, pick)) for (fixed, _), pick in zip(specs, picks)
+        ]
         block_counts = [counts_of(m) for m in block_masks]
         total = [sum(col) for col in zip(*block_counts)]
         cost = sum((t - lam) ** 2 for t in total)
         sideways = 0
         while evals < budget:
             if cost == 0:
-                blocks = orbit_lists(picks)
-                key = tuple(tuple(sorted(b)) for b in blocks)
-                if key not in seen_keys:
-                    seen_keys.add(key)
-                    found.append(blocks)
+                if tuple(block_masks) not in found:
+                    found.append(tuple(block_masks))
                 break
             best = None
             moves = []
@@ -209,7 +185,7 @@ def _local_search(orbsys, specs, lam, budget, want, rng):
             rng.shuffle(moves)
             for bi, chosen, o_out, o_in in moves:
                 evals += 1
-                new = counts_of(block_masks[bi] ^ masks[o_out] ^ masks[o_in])
+                new = counts_of(block_masks[bi] ^ o_out ^ o_in)
                 c = sum(
                     (t - old + n - lam) ** 2
                     for t, old, n in zip(total, block_counts[bi], new)
@@ -229,39 +205,43 @@ def _local_search(orbsys, specs, lam, budget, want, rng):
                 sideways = 0
             total = [t - old + n for t, old, n in zip(total, block_counts[bi], new)]
             block_counts[bi] = new
-            block_masks[bi] ^= masks[o_out] ^ masks[o_in]
+            block_masks[bi] ^= o_out ^ o_in
             chosen.remove(o_out)
             chosen.append(o_in)
             cost = c
     return found
 
 
-def _dedup_and_sort(orbsys, raw_blocks_list):
-    out = {}
-    for blocks in raw_blocks_list:
-        sel = _selection_from_indices(orbsys, blocks)
-        form = equivalence.canonical_form(expand(sel))
-        out.setdefault(form.blocks, sel)
-    return [out[k] for k in sorted(out)]
-
-
 def _run(orbsys, specs, lam, budget, seed, workers, want):
     """Run one engine on the block specs; merge results by canonical form.
 
-    A free block's spec is ([0] or [], [(all nontrivial orbits, m)]); the
-    skew block's is ([], [(pair, 1) for each negation pair]).  The local
-    engine splits the budget over min(workers, budget) seeded streams.
+    A spec's fixed part and items are masks: a free block's spec is
+    (zero-orbit mask or 0, [(every nontrivial orbit's mask, m)]); the skew
+    block's is (0, [([mask of o, mask of -o], 1) for each negation pair]).
+    The local engine splits the budget over min(workers, budget) seeded
+    streams.  Each block's representatives are read back from its mask.
     """
-    if len(orbsys.orbits) - 1 <= EXHAUSTIVE_ORBIT_LIMIT:
-        raw = _exhaustive(orbsys, specs, lam, budget, want)
+    v, reps = orbsys.v, orbsys.reps[1:]
+    if len(reps) <= EXHAUSTIVE_ORBIT_LIMIT:
+        raw = _exhaustive(v, reps, specs, lam, budget, want)
     else:
         raw = []
         streams = max(1, min(workers, budget))
         per_stream = max(1, budget // streams)
         for w in range(streams):
             rng = random.Random(f"{seed}:{w}")
-            raw += _local_search(orbsys, specs, lam, per_stream, want, rng)
-    return _dedup_and_sort(orbsys, raw)
+            raw += _local_search(v, reps, specs, lam, per_stream, want, rng)
+    out = {}
+    for masks in raw:
+        blocks = tuple(sds.Block(v, m) for m in masks)
+        form = equivalence.canonical_form(sds.DifferenceFamily(v, blocks))
+        out.setdefault(form.blocks, blocks)
+    return [
+        OrbitSelection(
+            orbsys, tuple(tuple(r for r in orbsys.reps if r in b) for b in out[k])
+        )
+        for k in sorted(out)
+    ]
 
 
 def _search(v, sizes, lam, q, budget, seed, workers, want, skew):
@@ -270,13 +250,14 @@ def _search(v, sizes, lam, q, budget, seed, workers, want, skew):
     if skew and plans[0].include_zero:
         raise ValueError("skew first block cannot contain 0")
     orbsys = zmod.orbit_system(v, zmod.element_of_order(v, q))
-    free = range(1, len(orbsys.orbits))
+    masks = [sds.Block.from_iterable(v, orbit).mask for orbit in orbsys.orbits]
     specs = [
-        ([0] if plan.include_zero else [], [(free, plan.orbit_count)])
+        (masks[0] if plan.include_zero else 0, [(masks[1:], plan.orbit_count)])
         for plan in plans
     ]
     if skew:
-        specs[0] = ([], [(pair, 1) for pair in negation_pairs(orbsys)])
+        pairs = negation_pairs(orbsys)
+        specs[0] = (0, [([masks[i], masks[j]], 1) for i, j in pairs])
     sels = _run(orbsys, specs, lam, budget, seed, workers, want)
     for sel in sels:
         if not verify_selection(sel, lam) or (
@@ -300,9 +281,12 @@ def search_sds(
 
     Every returned selection expands to a family passing verify_sds at
     p.lam.  Deterministic for fixed (seed, workers); an empty result only
-    means the budget was exhausted, not nonexistence.  The local engine
-    splits its budget over min(workers, budget) seeded streams run one
-    after another; the exhaustive engine ignores `workers` and `seed`.
+    means the budget was exhausted, not nonexistence.  One unit of
+    `budget` is one block choice evaluated by the exhaustive engine, or one
+    move evaluated by the local engine; a local restart's initial counts
+    (one per block) are not charged.  The local engine splits its budget
+    over min(workers, budget) seeded streams run one after another; the
+    exhaustive engine ignores `workers` and `seed`.
     """
     return _search(p.v, p.sizes, p.lam, q, budget, seed, workers, want, False)
 

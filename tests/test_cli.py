@@ -152,6 +152,17 @@ class TestVerify:
         assert code == cli.EXIT_OK
         assert "SKIP" in out
 
+    def test_open_entry_with_data_fails(self, capsys, tmp_path):
+        # load_catalog, hadamard --file and equiv reject this entry too
+        f = tmp_path / "open.txt"
+        f.write_text(
+            "entry x\nparams v=7 k=3 lambda=1\nstatus open\n"
+            "provenance test\nblock 1 2 4\nend\n"
+        )
+        code, out, _ = run(capsys, "verify", "--file", str(f))
+        assert code == cli.EXIT_VERIFY_FAIL
+        assert out == "x: FAIL (entry x: status open must not carry data)\n"
+
 
 class TestSearch:
     def test_finds_and_appends(self, capsys, tmp_path):

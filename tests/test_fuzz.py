@@ -135,6 +135,21 @@ def test_cli_on_corpus_files(workdir, text, argv):
                     cli.EXIT_HADAMARD_FAIL, cli.EXIT_USAGE)
 
 
+@FUZZ
+@given(corpus_text)
+def test_verify_file_agrees_with_load_catalog(workdir, text):
+    # verify --file accepts a file exactly when it is ASCII and
+    # load_catalog verifies its text
+    f = workdir / "corpus.txt"
+    f.write_text(text, encoding="utf-8")
+    try:
+        catalog.load_catalog(text)
+        loads = text.isascii()
+    except (catalog.CatalogParseError, catalog.CatalogIntegrityError):
+        loads = False
+    assert (_main(["verify", "--file", str(f)]) == cli.EXIT_OK) == loads
+
+
 matrix_text = st.tuples(
     st.one_of(st.integers(-2, 6).map(str), st.text(max_size=3)),
     st.lists(st.one_of(st.text("+-", max_size=6), st.text(max_size=6)), max_size=7),

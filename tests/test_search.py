@@ -197,6 +197,24 @@ class TestSearchSds:
             made.append(len(calls))
         assert made[0] == made[1]
 
+    def test_exhaustive_spends_whole_budget(self, monkeypatch):
+        # one budget unit is one block choice evaluated
+        real = sds.Block.difference_counts
+        calls = []
+
+        def counting(block, residues):
+            calls.append(1)
+            return real(block, residues)
+
+        monkeypatch.setattr(sds.Block, "difference_counts", counting)
+        p = sds.ParameterSet(43, (21, 21, 15), 25)
+        made = []
+        for budget in (0, 1, 2, 10):
+            calls.clear()
+            assert search.search_sds(p, 3, budget=budget) == []
+            made.append(len(calls))
+        assert made == [0, 1, 2, 10]
+
 
 class TestSearchSkewGs:
     def test_structural_filter_v7(self):
