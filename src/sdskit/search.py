@@ -226,8 +226,8 @@ def _run(orbsys, specs, lam, budget, seed, workers, want):
         raw = _exhaustive(v, reps, specs, lam, budget, want)
     else:
         raw = []
-        streams = max(1, min(workers, budget))
-        per_stream = max(1, budget // streams)
+        streams = min(workers, budget)
+        per_stream = budget // streams
         for w in range(streams):
             rng = random.Random(f"{seed}:{w}")
             raw += _local_search(v, reps, specs, lam, per_stream, want, rng)
@@ -246,6 +246,9 @@ def _run(orbsys, specs, lam, budget, seed, workers, want):
 
 def _search(v, sizes, lam, q, budget, seed, workers, want, skew):
     """The search behind search_sds and, with skew, search_skew_gs."""
+    for name, count in (("budget", budget), ("workers", workers), ("want", want)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, not {count}")
     plans = feasibility(v, sizes, q)
     if skew and plans[0].include_zero:
         raise ValueError("skew first block cannot contain 0")
@@ -286,7 +289,8 @@ def search_sds(
     move evaluated by the local engine; a local restart's initial counts
     (one per block) are not charged.  The local engine splits its budget
     over min(workers, budget) seeded streams run one after another; the
-    exhaustive engine ignores `workers` and `seed`.
+    exhaustive engine ignores `workers` and `seed`.  A budget, workers or
+    want below 1 is a ValueError.
     """
     return _search(p.v, p.sizes, p.lam, q, budget, seed, workers, want, False)
 
@@ -322,7 +326,7 @@ def search_skew_gs(
     sizes = (k0, k1, k2, k3) with k0 = (v-1)/2; the skew constraint is
     structural: block 0 takes exactly one orbit from each negation pair.
     The result feeds directly into the Goethals-Seidel assembly.
-    `workers` and `seed` act as in search_sds.
+    `budget`, `workers`, `want` and `seed` act as in search_sds.
     """
     sizes = tuple(sizes)
     if len(sizes) != 4:

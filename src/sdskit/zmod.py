@@ -1,5 +1,5 @@
-"""Arithmetic in Z_v for prime v: primality, unit orders, subgroup orbits,
-and quadratic residues."""
+"""Arithmetic in Z_v for prime v: primality, unit orders, primitive roots,
+subgroup orbits, and quadratic residues."""
 
 from __future__ import annotations
 
@@ -56,6 +56,32 @@ def element_of_order(v: int, q: int) -> int:
         if h != 1:
             return h
     raise AssertionError("unreachable for prime v")
+
+
+def prime_divisors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return tuple(primes)
+
+
+def primitive_root(v: int) -> int:
+    """The least generator of the cyclic group Z_v^* (v prime): the least
+    g whose order is v-1, i.e. g^((v-1)/p) != 1 for every prime p | v-1."""
+    if not is_prime(v):
+        raise ValueError(f"v={v} is not prime")
+    primes = prime_divisors(v - 1)
+    return next(
+        g for g in range(1, v) if all(pow(g, (v - 1) // p, v) != 1 for p in primes)
+    )
 
 
 def multiplicative_order(v: int, x: int) -> int:

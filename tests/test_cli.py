@@ -217,6 +217,21 @@ class TestSearch:
         # --out is opened before the search, so nothing is found and lost
         assert "found " not in out
 
+    @pytest.mark.parametrize("skew", [False, True])
+    @pytest.mark.parametrize("flag, value", [
+        ("--want", "0"), ("--budget", "0"), ("--budget", "-3"),
+        ("--workers", "0"), ("--workers", "-2"),
+    ])
+    def test_non_positive_counts(self, capsys, flag, value, skew):
+        target = ["43", "21,21,21,15", "--q", "7", "--skew-gs"] if skew else [
+            "19", "9,7,6", "--q", "3"]
+        code, out, err = run(
+            capsys, "search", *target, "--seed", "1", flag, value
+        )
+        assert code == cli.EXIT_BAD_INPUT
+        assert err == f"error: {flag[2:]} must be at least 1, not {value}\n"
+        assert out == ""
+
     def test_unparsable_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "found.txt"
         out_file.write_text("not a corpus\n")

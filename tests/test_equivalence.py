@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sdskit import equivalence, sds
+from sdskit import equivalence, sds, zmod
 from sdskit.catalog import entry_by_id
 
 
@@ -100,6 +100,43 @@ class TestCanonicalForm:
             for sizes in families:
                 f = _random_family(rng, v, sizes)
                 assert list(equivalence.canonical_form(f).blocks) == _oracle_blocks(f)
+
+    def test_orbit_unions_match_brute_force_oracle(self):
+        # unions of orbits of an order-q subgroup have a stabilizer of order
+        # at least q, so these take the coset path that random sets miss
+        rng = random.Random(17)
+        for v in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+            for q in zmod.prime_divisors(v - 1):
+                orbits = zmod.orbit_system(v, zmod.element_of_order(v, q)).orbits
+                for _ in range(5):
+                    f = sds.DifferenceFamily.from_sets(v, [
+                        {x for o in rng.sample(orbits, rng.randint(1, len(orbits) - 1))
+                         for x in o}
+                        for _ in range(rng.randint(1, 3))
+                    ])
+                    m = rng.randrange(1, v)
+                    g = sds.DifferenceFamily(v, tuple(
+                        b.scale(m).translate(rng.randrange(v)) for b in f.blocks
+                    ))
+                    form = equivalence.canonical_form(g)
+                    assert list(form.blocks) == _oracle_blocks(g), (v, q)
+                    assert form == equivalence.canonical_form(f), (v, q)
+
+    def test_evaluates_one_multiplier_per_stabilizer_coset(self, entries, monkeypatch):
+        # gs1324-family1 is a union of orbits of an order-11 subgroup of
+        # Z_331^*, so 330/11 = 30 coset representatives plus the order tests
+        # suffice; the loop over all 330 units would make 4*330 key calls
+        real = sds.least_translate_key
+        calls = []
+
+        def counting(v, members):
+            calls.append(1)
+            return real(v, members)
+
+        monkeypatch.setattr(sds, "least_translate_key", counting)
+        f = entry_by_id(entries, "gs1324-family1").family
+        equivalence.canonical_form(f)
+        assert 0 < len(calls) <= 4 * 40
 
     def test_corpus_forms_pinned(self, entries):
         # the forms of every verified corpus family, as first recorded; any

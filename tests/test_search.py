@@ -208,8 +208,10 @@ class TestSearchSds:
 
         monkeypatch.setattr(sds.Block, "difference_counts", counting)
         p = sds.ParameterSet(43, (21, 21, 15), 25)
-        made = []
-        for budget in (0, 1, 2, 10):
+        with pytest.raises(ValueError, match="budget"):
+            search.search_sds(p, 3, budget=0)
+        made = [len(calls)]
+        for budget in (1, 2, 10):
             calls.clear()
             assert search.search_sds(p, 3, budget=budget) == []
             made.append(len(calls))

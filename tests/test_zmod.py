@@ -51,6 +51,31 @@ def test_element_of_order_deterministic():
     assert zmod.element_of_order(131, 5) == zmod.element_of_order(131, 5)
 
 
+def test_prime_divisors():
+    assert zmod.prime_divisors(1) == ()
+    assert zmod.prime_divisors(238) == (2, 7, 17)
+    assert zmod.prime_divisors(330) == (2, 3, 5, 11)
+    assert zmod.prime_divisors(2**5 * 3**4) == (2, 3)
+    assert zmod.prime_divisors(331) == (331,)
+
+
+def test_primitive_root_generates_every_unit():
+    flags = _sieve_primes(1000)
+    for v in range(1000):
+        if flags[v]:
+            g = zmod.primitive_root(v)
+            assert zmod.multiplicative_order(v, g) == v - 1, v
+            assert zmod.primitive_root(v) == g
+    # the least generators
+    assert (zmod.primitive_root(239), zmod.primitive_root(331)) == (7, 3)
+
+
+def test_primitive_root_rejects_composite():
+    for v in (0, 1, 4, 9, 956, 1324):
+        with pytest.raises(ValueError):
+            zmod.primitive_root(v)
+
+
 def test_orbit_system_v7():
     osys = zmod.orbit_system(7, 2)
     assert osys.q == 3
