@@ -178,7 +178,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_hadamard(args) -> int:
-    fams = [(label, _family(e, entries)) for label, e, entries in _named(args)]
+    named = _named(args)
+    # a matrix file holds one matrix, so --out takes one family
+    if args.out and len(named) > 1:
+        raise ValueError(f"--out takes one family, not {len(named)}")
+    fams = [(label, _family(e, entries)) for label, e, entries in named]
     status = EXIT_OK
     for label, fam in fams:
         if args.paley_todd:
@@ -293,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--file", help="corpus-format file")
     p.add_argument("--paley-todd", action="store_true",
                    help="prepend the quadratic-residue block first")
-    p.add_argument("--out", help="matrix output file")
+    p.add_argument("--out", help="matrix output file (one family only)")
     p.set_defaults(func=cmd_hadamard)
 
     p = sub.add_parser("equiv", help="pairwise equivalence of families")

@@ -1,7 +1,8 @@
 """Goethals-Seidel assembly and exact Hadamard verification.
 
 All arithmetic is on packed sign bits (bit set = -1 entry); verification
-is popcount-based and certificate-grade, with no floating point.
+is popcount-based and certificate-grade, with no floating point.  Rows
+move whole as `_bits` text; skewness is certified as row i XOR column i.
 """
 
 from __future__ import annotations
@@ -10,6 +11,14 @@ from dataclasses import dataclass
 
 from . import sds
 from .sds import Block, DifferenceFamily
+
+_TO_SIGNS = str.maketrans("01", "+-")
+_TO_BITS = str.maketrans("+-", "01")
+
+
+def _bits(row: int, n: int) -> str:
+    """The n bits of row as '0'/'1' characters, column 0 first."""
+    return format(row, f"0{n}b")[::-1]
 
 
 @dataclass(frozen=True)
@@ -31,10 +40,7 @@ class SignMatrix:
         return -1 if (self.rows[i] >> j) & 1 else 1
 
     def to_lines(self) -> list[str]:
-        out = []
-        for r in self.rows:
-            out.append("".join("-" if (r >> j) & 1 else "+" for j in range(self.n)))
-        return out
+        return [_bits(r, self.n).translate(_TO_SIGNS) for r in self.rows]
 
 
 def goethals_seidel(a0: Block, a1: Block, a2: Block, a3: Block) -> SignMatrix:
@@ -95,17 +101,14 @@ def is_hadamard(m: SignMatrix) -> bool:
 
 
 def is_skew_hadamard(m: SignMatrix) -> bool:
-    """True iff Hadamard with +1 diagonal and antisymmetric off-diagonal
-    (M + M^T = 2I)."""
+    """True iff Hadamard with M + M^T = 2I: each row i, in ascending order,
+    has bit i clear and XORs with column i to every other bit."""
     n = m.n
-    nbytes = (n + 7) // 8
-    rb = [r.to_bytes(nbytes, "little") for r in m.rows]
-    for i in range(n):
-        if (rb[i][i >> 3] >> (i & 7)) & 1:
+    full = (1 << n) - 1
+    columns = zip(*(_bits(r, n) for r in m.rows))
+    for i, (row, column) in enumerate(zip(m.rows, columns)):
+        if (row >> i) & 1 or row ^ int("".join(column)[::-1], 2) != full ^ (1 << i):
             return False
-        for j in range(i + 1, n):
-            if ((rb[i][j >> 3] >> (j & 7)) & 1) == ((rb[j][i >> 3] >> (i & 7)) & 1):
-                return False
     return is_hadamard(m)
 
 
@@ -142,23 +145,19 @@ def write_matrix(m: SignMatrix, path) -> None:
     """Write the order on the first line, then one +/- row per line."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{m.n}\n")
-        for line in m.to_lines():
-            fh.write(line + "\n")
+        fh.writelines(line + "\n" for line in m.to_lines())
 
 
 def read_matrix(path) -> SignMatrix:
+    """Inverse of write_matrix; a bad row names its line, the order being line 1."""
     with open(path, encoding="ascii") as fh:
         n = int(fh.readline())
         rows = []
-        for _ in range(n):
+        for k in range(2, n + 2):
             line = fh.readline().strip()
-            if len(line) != n or set(line) - {"+", "-"}:
-                raise ValueError("malformed matrix row")
-            row = 0
-            for j, ch in enumerate(line):
-                if ch == "-":
-                    row |= 1 << j
-            rows.append(row)
+            if len(line) != n or line.strip("+-"):
+                raise ValueError(f"line {k}: malformed matrix row, need {n} +/- signs")
+            rows.append(int(line.translate(_TO_BITS)[::-1], 2))
         if fh.read().strip():
             raise ValueError(f"lines after the {n} matrix rows")
     return SignMatrix(n, tuple(rows))

@@ -333,6 +333,28 @@ class TestHadamard:
         assert code == cli.EXIT_BAD_INPUT
         assert "carries no block data" in err
 
+    def test_out_takes_one_family(self, capsys, tmp_path):
+        # both matrices used to be written to one file, the last one kept
+        corpus = tmp_path / "two.txt"
+        entries = catalog.load_default(verify=False)
+        corpus.write_text(
+            catalog.emit_catalog(
+                [catalog.entry_by_id(entries, f"gs956-family{k}") for k in (1, 2)]
+            )
+        )
+        out_file = tmp_path / "h.txt"
+        for named in (
+            ["--id", "gs956-family1", "--id", "gs956-family2"],
+            ["--file", str(corpus)],
+        ):
+            code, out, err = run(
+                capsys, "hadamard", *named, "--paley-todd", "--out", str(out_file)
+            )
+            assert code == cli.EXIT_BAD_INPUT
+            assert out == ""
+            assert err == "error: --out takes one family, not 2\n"
+            assert not out_file.exists()
+
 
 def _one_entry_corpus(path, eid):
     entries = catalog.load_default(verify=False)

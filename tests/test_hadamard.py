@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -244,3 +245,101 @@ class TestIo:
         path.write_text("2\n++\n+-\n--\n")
         with pytest.raises(ValueError):
             hadamard.read_matrix(path)
+
+
+def _flipped(m, cells):
+    rows = list(m.rows)
+    for r, c in cells:
+        rows[r] ^= 1 << c
+    return SignMatrix(m.n, tuple(rows))
+
+
+def _skew_oracle(m):
+    """M + M^T = 2I and orthogonal rows, entry by entry."""
+    n = m.n
+    a = [[m.entry(i, j) for j in range(n)] for i in range(n)]
+    skew = all(
+        a[i][j] + a[j][i] == (2 if i == j else 0)
+        for i in range(n)
+        for j in range(n)
+    )
+    return skew and all(
+        sum(x * y for x, y in zip(a[i], a[j])) == 0
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+
+
+class TestSkewOracle:
+    def test_every_flip_matches_definition(self, entries):
+        from sdskit.catalog import entry_by_id
+
+        fam = sds.compose_with_paley_todd(entry_by_id(entries, "appx-7-3-3-1").family)
+        order12 = hadamard.build_skew_hadamard(
+            3,
+            sds.Block.from_iterable(3, [1]),
+            sds.Block.from_iterable(3, [0]),
+            sds.Block.from_iterable(3, [0]),
+            sds.Block.from_iterable(3, []),
+        )
+        order28 = hadamard.build_skew_hadamard(7, *fam.blocks)
+        for m in (order12, order28):
+            n = m.n
+            assert hadamard.is_skew_hadamard(m) and _skew_oracle(m)
+            flips = [[(r, c)] for r in range(n) for c in range(n)]
+            flips += [[(r, c), (c, r)] for r in range(n) for c in range(r + 1, n)]
+            # -I + S is Hadamard with M + M^T = -2I when I + S is skew-Hadamard
+            flips.append([(i, i) for i in range(n)])
+            for cells in flips:
+                f = _flipped(m, cells)
+                assert hadamard.is_skew_hadamard(f) == _skew_oracle(f), cells
+
+
+# sha256 of the files `sdskit hadamard --out` writes for the paper's orders
+PINNED_FILES = [
+    ("gs956-family1", True,
+     "fa885b3aa5b4ba1f85553b5bcff9d91dbb979a7a6ca2a6d1b483ab7a62d0087a"),
+    ("gs1324-family1", False,
+     "97266ddee40bca5fb51fe871f64f10ac805c7ca7076af833e39e54f700010c6e"),
+]
+
+
+class TestRowCodec:
+    def test_lines_match_entries_and_round_trip(self, tmp_path):
+        # n up to 70 crosses byte and 64-bit word boundaries
+        rng = random.Random(11)
+        path = tmp_path / "m.txt"
+        for n in range(1, 71):
+            for _ in range(2):
+                m = _random_sign_matrix(rng, n)
+                assert [[ch == "-" for ch in line] for line in m.to_lines()] == [
+                    [m.entry(i, j) == -1 for j in range(n)] for i in range(n)
+                ]
+                hadamard.write_matrix(m, path)
+                assert hadamard.read_matrix(path) == m
+
+    @pytest.mark.parametrize("eid, paley_todd, digest", PINNED_FILES)
+    def test_written_file_pinned(self, entries, tmp_path, eid, paley_todd, digest):
+        from sdskit.catalog import entry_by_id
+
+        fam = entry_by_id(entries, eid).family
+        if paley_todd:
+            fam = sds.compose_with_paley_todd(fam)
+        m = hadamard.goethals_seidel(*fam.blocks)
+        path = tmp_path / "h.txt"
+        hadamard.write_matrix(m, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_read_names_the_bad_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        cases = [
+            ("2\n+-\n+x\n", 3),
+            ("2\n+\n++\n", 2),
+            ("3\n+++\n---\n", 4),  # missing row
+            ("3\n+++\n+_-\n+++\n", 3),  # int() would accept the underscore
+            ("3\n+ -\n+++\n+++\n", 2),
+        ]
+        for text, k in cases:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f"^line {k}: malformed matrix row"):
+                hadamard.read_matrix(path)
