@@ -61,9 +61,20 @@ class CatalogEntry:
         return "none"
 
 
+_DIGITS_AND_MINUS = str.maketrans("", "", "-0123456789")
+
+
+def _decimals(tokens: list[str]) -> tuple[int, ...]:
+    """int() of each token, which may hold only ASCII digits and '-':
+    int() alone would also take '+', '_' and non-ASCII digits."""
+    if "".join(tokens).translate(_DIGITS_AND_MINUS):
+        raise ValueError(f"not decimal integers: {' '.join(tokens)!r}")
+    return tuple(map(int, tokens))
+
+
 def _parse_ints(text: str, lineno: int) -> tuple[int, ...]:
     try:
-        return tuple(int(t) for t in text.split())
+        return _decimals(text.split())
     except ValueError:
         raise CatalogParseError(lineno, f"expected integers, got {text!r}")
 
@@ -173,9 +184,8 @@ def load_catalog(text: str, verify: bool = True) -> list[CatalogEntry]:
         elif word == "params":
             fields = dict(t.split("=", 1) for t in rest.split() if "=" in t)
             try:
-                v = int(fields["v"])
-                ks = tuple(int(k) for k in fields["k"].split(","))
-                lam = int(fields["lambda"])
+                v, lam = _decimals([fields["v"], fields["lambda"]])
+                ks = _decimals(fields["k"].split(","))
                 cur["params"] = sds.ParameterSet(v, ks, lam)
             except (KeyError, ValueError) as exc:
                 raise CatalogParseError(lineno, f"bad params line: {exc}")
@@ -190,7 +200,7 @@ def load_catalog(text: str, verify: bool = True) -> list[CatalogEntry]:
         elif word == "orbit":
             fields = dict(t.split("=", 1) for t in rest.split() if "=" in t)
             try:
-                cur["orbit_hq"] = (int(fields["h"]), int(fields["q"]))
+                cur["orbit_hq"] = _decimals([fields["h"], fields["q"]])
             except (KeyError, ValueError):
                 raise CatalogParseError(lineno, "orbit line needs h= and q=")
             pending_reps = []

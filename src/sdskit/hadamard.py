@@ -2,7 +2,9 @@
 
 All arithmetic is on packed sign bits (bit set = -1 entry); verification
 is popcount-based and certificate-grade, with no floating point.  Rows
-move whole as `_bits` text; skewness is certified as row i XOR column i.
+move whole as `_bits` text.  A matrix of Goethals-Seidel shape is certified
+from its four block leaders (_gs_shape); any other matrix row pair by row
+pair, with skewness checked as row i XOR column i.
 """
 
 from __future__ import annotations
@@ -87,10 +89,100 @@ def goethals_seidel(a0: Block, a1: Block, a2: Block, a3: Block) -> SignMatrix:
     return SignMatrix(4 * v, tuple(out))
 
 
+def _gs_shape(m: SignMatrix):
+    """The block leaders of a Goethals-Seidel-shaped matrix, or None.
+
+    m has the shape when n = 4v with v odd and every v-bit chunk c of row
+    bv+r (r >= 1) is the same chunk of row bv+r-1 rotated left by a sign
+    s[b][c] in {+1, -1}, fixed for the block.  Then chunk c of row bv+r is
+    x[b][c] rotated left by s[b][c]*r, where x[b][c] is chunk c of the
+    leader row bv.  Returns (v, x, s), a constant chunk taking sign +1 as
+    both rotations fix it, or None as soon as a row breaks the pattern.
+    Every goethals_seidel output has the shape, with s = +1 on the Z0
+    blocks and s = -1 on the others.
+    """
+    v, rem = divmod(m.n, 4)
+    if rem or v % 2 == 0:
+        return None
+    # rotation keeps popcounts, so each block row has one row popcount;
+    # this rejects most matrices without the shape before the row steps
+    for b in range(4):
+        if len({r.bit_count() for r in m.rows[b * v:(b + 1) * v]}) > 1:
+            return None
+    full = (1 << v) - 1
+    x, s = [], []
+    for b in range(4):
+        rows = m.rows[b * v:(b + 1) * v]
+        lead = [(rows[0] >> (c * v)) & full for c in range(4)]
+        second = rows[1] if v > 1 else rows[0]
+        signs = [
+            1 if (second >> (c * v)) & full == Block(v, xc).translate(1).mask else -1
+            for c, xc in enumerate(lead)
+        ]
+        # one step moves bit k of a +1 chunk to k+1 (bit v-1 to 0) and bit
+        # k of a -1 chunk to k-1 (bit 0 to v-1), in all four chunks at once
+        up = wrap_down = down = wrap_up = 0
+        for c, sc in enumerate(signs):
+            if sc == 1:
+                up |= (full ^ 1) << (c * v)
+                wrap_down |= 1 << (c * v)
+            else:
+                down |= (full >> 1) << (c * v)
+                wrap_up |= 1 << (c * v + v - 1)
+        for prev, row in zip(rows, rows[1:]):
+            if row != (
+                (prev << 1 & up) | (prev >> (v - 1) & wrap_down)
+                | (prev >> 1 & down) | (prev << (v - 1) & wrap_up)
+            ):
+                return None
+        x.append(lead)
+        s.append(signs)
+    return v, x, s
+
+
 def is_hadamard(m: SignMatrix) -> bool:
     """Exact orthogonality check: every distinct row pair has dot product
-    zero, computed as n - 2*popcount(xor)."""
+    zero, computed as n - 2*popcount(xor).
+
+    A Goethals-Seidel-shaped matrix (see _gs_shape) is certified from its
+    leaders.  A chunk's popcount is unchanged when both operands rotate
+    alike, so chunk c of rows bv+r and b'v+t contributes
+    v - 2*popcount(x[b][c] ^ rot(x[b'][c], s[b'][c]*k)), with k = t-r when
+    s[b][c] = s[b'][c] and k = t+r when the signs differ.  The dot product
+    is therefore F(t-r) + H(t+r), F summing the equal-sign chunks and H the
+    others.  For odd v, (r, t) -> (t-r, t+r) is a bijection of Z_v^2, so
+    the rows are orthogonal iff, on each diagonal block pair, F(0) = n and
+    F(d) = 0 for d != 0 (H is empty there), and on each off-diagonal block
+    pair F and H are each constant with F + H = 0.  That is 10 block pairs
+    x 4 chunks x v popcounts in place of n(n-1)/2 row pairs.  A matrix
+    without the shape takes the row-pair loop.
+    """
     n = m.n
+    shape = _gs_shape(m)
+    if shape is not None:
+        v, x, s = shape
+        full = (1 << v) - 1
+        for b in range(4):
+            for b2 in range(b, 4):
+                f, h = [0] * v, [0] * v
+                for c in range(4):
+                    y = x[b2][c]
+                    twice = y | y << v
+                    # (twice >> v-k) & full is y rotated left by k, and
+                    # (twice >> k) & full is y rotated right by k
+                    shifts = range(v, 0, -1) if s[b2][c] == 1 else range(v)
+                    acc = f if s[b][c] == s[b2][c] else h
+                    xc = x[b][c]
+                    acc[:] = [
+                        t + v - 2 * (xc ^ (twice >> sh) & full).bit_count()
+                        for t, sh in zip(acc, shifts)
+                    ]
+                if b == b2:
+                    if f[0] != n or any(f[1:]):
+                        return False
+                elif f.count(f[0]) != v or h.count(h[0]) != v or f[0] + h[0]:
+                    return False
+        return True
     rows = m.rows
     for i in range(n):
         ri = rows[i]
@@ -102,13 +194,46 @@ def is_hadamard(m: SignMatrix) -> bool:
 
 def is_skew_hadamard(m: SignMatrix) -> bool:
     """True iff Hadamard with M + M^T = 2I: each row i, in ascending order,
-    has bit i clear and XORs with column i to every other bit."""
+    has bit i clear and XORs with column i to every other bit.
+
+    A Goethals-Seidel-shaped matrix (see _gs_shape) has entry
+    (bv+r, cv+j) = bit j - s[b][c]*r of x[b][c], so M + M^T = 2I reduces to
+    relations between leaders, with full the v one bits and neg(x) the
+    bit reflection d -> -d:
+    - a diagonal block has sign +1, bit 0 clear and x ^ neg(x) = full ^ 1
+      (sign -1 makes the block symmetric);
+    - an off-diagonal pair with signs ++ has x[b][c] = ~neg(x[c][b]), and
+      with signs -- has x[b][c] = ~x[c][b];
+    - with mixed signs, x[b][c][d] != x[c][b][e] for all (d, e), since
+      (r, j) -> (j-r, j+r) is onto for odd v: both leaders are constant
+      and complementary.
+    Either way the test then ends in is_hadamard.
+    """
     n = m.n
-    full = (1 << n) - 1
-    columns = zip(*(_bits(r, n) for r in m.rows))
-    for i, (row, column) in enumerate(zip(m.rows, columns)):
-        if (row >> i) & 1 or row ^ int("".join(column)[::-1], 2) != full ^ (1 << i):
-            return False
+    shape = _gs_shape(m)
+    if shape is not None:
+        v, x, s = shape
+        full = (1 << v) - 1
+        for b in range(4):
+            xb = x[b][b]
+            if s[b][b] != 1 or xb & 1 or xb ^ Block(v, xb).negate().mask != full ^ 1:
+                return False
+            for c in range(b + 1, 4):
+                xbc, xcb = x[b][c], x[c][b]
+                if s[b][c] == s[c][b] == 1:
+                    want = Block(v, xcb).negate().mask ^ full
+                elif s[b][c] == s[c][b]:
+                    want = xcb ^ full
+                else:
+                    want = xcb ^ full if xcb in (0, full) else -1
+                if xbc != want:
+                    return False
+    else:
+        full = (1 << n) - 1
+        columns = zip(*(_bits(r, n) for r in m.rows))
+        for i, (row, column) in enumerate(zip(m.rows, columns)):
+            if (row >> i) & 1 or row ^ int("".join(column)[::-1], 2) != full ^ (1 << i):
+                return False
     return is_hadamard(m)
 
 
@@ -151,7 +276,10 @@ def write_matrix(m: SignMatrix, path) -> None:
 def read_matrix(path) -> SignMatrix:
     """Inverse of write_matrix; a bad row names its line, the order being line 1."""
     with open(path, encoding="ascii") as fh:
-        n = int(fh.readline())
+        head = fh.readline().strip()
+        if not head.removeprefix("-").isdigit():
+            raise ValueError(f"line 1: malformed order {head!r}, need decimal digits")
+        n = int(head)
         rows = []
         for k in range(2, n + 2):
             line = fh.readline().strip()

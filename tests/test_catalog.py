@@ -216,3 +216,38 @@ class TestTable1:
             rows[0].v, rows[0].sizes, rows[0].lam, "?", "none"
         )
         assert not catalog.table1_matches_expected(broken)
+
+
+ORBIT = """\
+entry demo-orbit-7
+params v=7 k=3,3 lambda=2
+status verified
+provenance two copies of the quadratic residues
+orbit h=2 q=3
+reps 1
+reps 1
+end
+"""
+
+
+class TestDecimalTokens:
+    def test_non_decimal_integers_name_their_line(self):
+        # int() reads each replacement as the value it replaces, so the
+        # entry would load unchanged
+        assert catalog.load_catalog(ORBIT)[0].family.member_lists() == (
+            (1, 2, 4), (1, 2, 4)
+        )
+        assert catalog.load_catalog(MINIMAL)[0].id == "demo-7"
+        cases = [
+            (MINIMAL, "v=7", "v=+7", 2),
+            (MINIMAL, "k=2,2,2", "k=2,0_2,2", 2),
+            (MINIMAL, "lambda=1", "lambda=١", 2),
+            (MINIMAL, "block 0 2", "block 0 +2", 6),
+            (MINIMAL, "block 0 3", "block 0 0_3", 7),
+            (ORBIT, "h=2", "h=+2", 5),
+            (ORBIT, "reps 1\nend", "reps 0_1\nend", 7),
+        ]
+        for text, old, new, lineno in cases:
+            with pytest.raises(catalog.CatalogParseError) as exc:
+                catalog.load_catalog(text.replace(old, new))
+            assert exc.value.lineno == lineno, new

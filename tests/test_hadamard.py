@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -342,4 +343,221 @@ class TestRowCodec:
         for text, k in cases:
             path.write_text(text)
             with pytest.raises(ValueError, match=f"^line {k}: malformed matrix row"):
+                hadamard.read_matrix(path)
+
+
+# Skew-type Goethals-Seidel families (members of a0..a3) at odd v, v = 9 and
+# 15 composite; each assembles to a skew-Hadamard matrix of order 4v
+SKEW_GS_FAMILIES = [
+    (1, [[], [], [], []]),
+    (3, [[1], [0], [0], []]),
+    (5, [[1, 2], [0], [0], [0, 2]]),
+    (7, [[1, 2, 4], [0, 1, 3], [0, 1, 3], [0]]),
+    (9, [[1, 2, 3, 4], [0, 4], [0, 2, 5], [0, 1, 4, 6]]),
+    (15, [[1, 2, 3, 4, 5, 7, 9], [3, 4, 6, 9, 11, 12], [0, 2, 5, 6, 9, 10, 13],
+          [0, 1, 3, 4, 5, 6, 9, 10, 11, 12, 14]]),
+]
+ODD_V = (1, 3, 5, 7, 9, 15)
+
+
+def _pair_loop(m):
+    """Every distinct row pair XORs to n/2 bits."""
+    return all(
+        (a ^ b).bit_count() * 2 == m.n for a, b in itertools.combinations(m.rows, 2)
+    )
+
+
+def _skew_entries(m):
+    """M + M^T = 2I, entry by entry."""
+    n = m.n
+    return all(
+        m.entry(i, j) + m.entry(j, i) == (2 if i == j else 0)
+        for i in range(n)
+        for j in range(i, n)
+    )
+
+
+def _block_matrix(v, leaders, signs):
+    """The 4v x 4v matrix whose row bv+r has chunk c equal to leaders[b][c]
+    rotated left by signs[b][c]*r."""
+    rows = []
+    for b in range(4):
+        for r in range(v):
+            rows.append(sum(
+                sds.Block(v, leaders[b][c]).translate(signs[b][c] * r).mask << (c * v)
+                for c in range(4)
+            ))
+    return SignMatrix(4 * v, tuple(rows))
+
+
+def _skew_block(rng, v):
+    return sds.Block.from_iterable(
+        v, [d if rng.random() < 0.5 else v - d for d in range(1, (v + 1) // 2)]
+    )
+
+
+def _leader(rng, v):
+    return rng.choice([0, (1 << v) - 1, rng.getrandbits(v)])
+
+
+def _skew_pattern(rng, v):
+    """Leaders and signs that give M + M^T = 2I: a skew diagonal leader of
+    sign +1, and each off-diagonal pair related as its two signs require."""
+    full = (1 << v) - 1
+    leaders = [[0] * 4 for _ in range(4)]
+    signs = [[1] * 4 for _ in range(4)]
+    for b in range(4):
+        leaders[b][b] = _skew_block(rng, v).mask
+        for c in range(b + 1, 4):
+            s, t = rng.choice((1, -1)), rng.choice((1, -1))
+            y = _leader(rng, v) if s == t else rng.choice((0, full))
+            x = full ^ (sds.Block(v, y).negate().mask if s == t == 1 else y)
+            leaders[b][c], leaders[c][b] = x, y
+            signs[b][c], signs[c][b] = s, t
+    return _block_matrix(v, leaders, signs)
+
+
+def _signed_block_permutation(rng, v):
+    """For each of 4v indices, its source index and whether it is negated:
+    blocks of v indices go to blocks in random order, each reflected
+    (j -> -j) and negated at random."""
+    out = []
+    for b in rng.sample(range(4), 4):
+        refl, neg = rng.random() < 0.5, rng.random() < 0.5
+        out += [(b * v + (-j % v if refl else j), neg) for j in range(v)]
+    return out
+
+
+def _transformed(rng, m, skew_keeping):
+    """P M Q for random signed block permutations P and Q, with Q = P^T when
+    skew_keeping.  Each keeps the Hadamard property and the leader shape (a
+    reflection flips a block's sign); Q = P^T also keeps M + M^T = 2I."""
+    v = m.n // 4
+    rows = _signed_block_permutation(rng, v)
+    cols = rows if skew_keeping else _signed_block_permutation(rng, v)
+    return SignMatrix(m.n, tuple(
+        sum(((m.rows[i] >> j & 1) ^ ni ^ nj) << k for k, (j, nj) in enumerate(cols))
+        for i, ni in rows
+    ))
+
+
+def _rotate_chunk(m, b, c, k):
+    """m with chunk c of each row in block row b rotated left by k."""
+    v = m.n // 4
+    full = (1 << v) - 1
+    rows = list(m.rows)
+    for i in range(b * v, (b + 1) * v):
+        x = (rows[i] >> (c * v)) & full
+        rows[i] ^= (x ^ sds.Block(v, x).translate(k).mask) << (c * v)
+    return SignMatrix(m.n, tuple(rows))
+
+
+class TestLeaderCertificate:
+    def test_gs_arrays_match_oracles(self):
+        rng = random.Random(23)
+        mats = [
+            hadamard.goethals_seidel(*(sds.Block.from_iterable(v, b) for b in blocks))
+            for v, blocks in SKEW_GS_FAMILIES
+        ]
+        for v in ODD_V:
+            for k in range(30):
+                blocks = [sds.Block(v, rng.getrandbits(v)) for _ in range(4)]
+                if k % 2:
+                    blocks[0] = _skew_block(rng, v)
+                mats.append(hadamard.goethals_seidel(*blocks))
+        seen = set()
+        for m in mats:
+            assert hadamard._gs_shape(m) is not None
+            h = _pair_loop(m)
+            skew = h and _skew_entries(m)
+            assert hadamard.is_hadamard(m) == h
+            assert hadamard.is_skew_hadamard(m) == skew
+            seen |= {("hadamard", h), ("skew", skew)}
+        assert seen == {(p, ok) for p in ("hadamard", "skew") for ok in (True, False)}
+
+    def test_sign_patterns_match_oracles(self):
+        # 16 blocks with random signs and random, all-zero or all-one
+        # leaders, half of them drawn to meet M + M^T = 2I
+        rng = random.Random(29)
+        seen = set()
+        for v in ODD_V:
+            for k in range(60):
+                if k % 2:
+                    m = _skew_pattern(rng, v)
+                    assert _skew_entries(m)
+                else:
+                    m = _block_matrix(
+                        v,
+                        [[_leader(rng, v) for _ in range(4)] for _ in range(4)],
+                        [[rng.choice((1, -1)) for _ in range(4)] for _ in range(4)],
+                    )
+                assert hadamard._gs_shape(m) is not None
+                h = _pair_loop(m)
+                skew = h and _skew_entries(m)
+                assert hadamard.is_hadamard(m) == h
+                assert hadamard.is_skew_hadamard(m) == skew
+                seen |= {("hadamard", h), ("skew", skew)}
+        assert seen == {(p, ok) for p in ("hadamard", "skew") for ok in (True, False)}
+
+    def test_transformed_families_match_oracles(self):
+        # the skew families under signed block permutations and reflections,
+        # which give every sign pattern; two of three then get a chunk
+        # rotated in one block row, which keeps that block row's own
+        # orthogonality but may break it with the others
+        rng = random.Random(31)
+        seen = set()
+        for v, blocks in SKEW_GS_FAMILIES[1:]:
+            base = hadamard.goethals_seidel(*(sds.Block.from_iterable(v, b) for b in blocks))
+            for k in range(600 if v == 3 else 40):
+                m = _transformed(rng, base, k % 2 == 0)
+                for _ in range(k % 3):
+                    m = _rotate_chunk(m, rng.randrange(4), rng.randrange(4), rng.randrange(1, v))
+                assert hadamard._gs_shape(m) is not None
+                h = _pair_loop(m)
+                skew = h and _skew_entries(m)
+                assert hadamard.is_hadamard(m) == h
+                assert hadamard.is_skew_hadamard(m) == skew
+                seen |= {("hadamard", h), ("skew", skew)}
+        assert seen == {(p, ok) for p in ("hadamard", "skew") for ok in (True, False)}
+
+
+class TestLeaderDetection:
+    def test_corpus_matrices_have_the_shape(self, entries):
+        from sdskit.catalog import entry_by_id
+
+        ids = [(f"gs956-family{k}", True) for k in (1, 2, 3)]
+        ids += [(f"gs1324-family{k}", False) for k in range(1, 7)]
+        for eid, paley_todd in ids:
+            fam = entry_by_id(entries, eid).family
+            if paley_todd:
+                fam = sds.compose_with_paley_todd(fam)
+            assert hadamard._gs_shape(hadamard.goethals_seidel(*fam.blocks)) is not None, eid
+
+    def test_order_28_flips(self):
+        blocks = [sds.Block.from_iterable(7, b) for b in SKEW_GS_FAMILIES[3][1]]
+        m = hadamard.goethals_seidel(*blocks)
+        n = m.n
+        assert hadamard._gs_shape(m) is not None
+        # the whole diagonal flipped complements each Z0 block, a circulant
+        assert hadamard._gs_shape(_flipped(m, [(i, i) for i in range(n)])) is not None
+        flips = [[(r, c)] for r in range(n) for c in range(n)]
+        flips += [[(r, c), (c, r)] for r in range(n) for c in range(r + 1, n)]
+        for cells in flips:
+            assert hadamard._gs_shape(_flipped(m, cells)) is None, cells
+
+    def test_sylvester_has_no_shape(self):
+        for n in (8, 16, 32):
+            assert hadamard._gs_shape(_known_hadamard(n)) is None
+
+
+class TestOrderLine:
+    def test_read_rejects_non_decimal_order(self, tmp_path):
+        # int() reads the first three heads as 12
+        path = tmp_path / "m.txt"
+        body = ("+" * 12 + "\n") * 12
+        path.write_text("12\n" + body)
+        assert hadamard.read_matrix(path).n == 12
+        for head in ("1_2", "+12", "+1_2", "12.", "0x0c", ""):
+            path.write_text(f"{head}\n{body}")
+            with pytest.raises(ValueError, match="^line 1: "):
                 hadamard.read_matrix(path)
