@@ -14,6 +14,7 @@ against the source tables:
     end
 
 Verified entries are re-verified on load; a mismatch is a hard failure.
+Orbit entries expand through zmod.OrbitSystem, which owns the orbit masks.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from . import sds, search, zmod
+from . import sds, zmod
 
 STATUSES = ("verified", "open", "external")
 
@@ -64,9 +65,10 @@ class CatalogEntry:
 _DIGITS_AND_MINUS = str.maketrans("", "", "-0123456789")
 
 
-def _decimals(tokens: list[str]) -> tuple[int, ...]:
-    """int() of each token, which may hold only ASCII digits and '-':
-    int() alone would also take '+', '_' and non-ASCII digits."""
+def decimals(tokens: list[str]) -> tuple[int, ...]:
+    """int() of each token, which may hold only ASCII digits and '-' (int()
+    alone takes '+', '_', spaces and non-ASCII digits): how the corpus
+    parser and the CLI read every integer."""
     if "".join(tokens).translate(_DIGITS_AND_MINUS):
         raise ValueError(f"not decimal integers: {' '.join(tokens)!r}")
     return tuple(map(int, tokens))
@@ -74,7 +76,7 @@ def _decimals(tokens: list[str]) -> tuple[int, ...]:
 
 def _parse_ints(text: str, lineno: int) -> tuple[int, ...]:
     try:
-        return _decimals(text.split())
+        return decimals(text.split())
     except ValueError:
         raise CatalogParseError(lineno, f"expected integers, got {text!r}")
 
@@ -124,7 +126,7 @@ def materialize(
             osys = zmod.orbit_system(v, h)
             if osys.q != q:
                 raise ValueError(f"h={h} has order {osys.q}, not {q}")
-            fam = search.expand(search.OrbitSelection(osys, reps))
+            fam = osys.family(reps)
         except ValueError as exc:
             raise CatalogIntegrityError(f"entry {entry.id}: {exc}") from None
     elif entry.compose is not None:
@@ -149,7 +151,7 @@ def materialize(
     if not report.ok:
         raise CatalogIntegrityError(
             f"entry {entry.id}: verification failed at lambda="
-            f"{entry.params.lam} (worst deviation {report.worst_deviation})"
+            f"{entry.params.lam} ({report})"
         )
     entry.family = fam
     return fam
@@ -184,8 +186,8 @@ def load_catalog(text: str, verify: bool = True) -> list[CatalogEntry]:
         elif word == "params":
             fields = dict(t.split("=", 1) for t in rest.split() if "=" in t)
             try:
-                v, lam = _decimals([fields["v"], fields["lambda"]])
-                ks = _decimals(fields["k"].split(","))
+                v, lam = decimals([fields["v"], fields["lambda"]])
+                ks = decimals(fields["k"].split(","))
                 cur["params"] = sds.ParameterSet(v, ks, lam)
             except (KeyError, ValueError) as exc:
                 raise CatalogParseError(lineno, f"bad params line: {exc}")
@@ -200,7 +202,7 @@ def load_catalog(text: str, verify: bool = True) -> list[CatalogEntry]:
         elif word == "orbit":
             fields = dict(t.split("=", 1) for t in rest.split() if "=" in t)
             try:
-                cur["orbit_hq"] = _decimals([fields["h"], fields["q"]])
+                cur["orbit_hq"] = decimals([fields["h"], fields["q"]])
             except (KeyError, ValueError):
                 raise CatalogParseError(lineno, "orbit line needs h= and q=")
             pending_reps = []

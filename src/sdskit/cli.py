@@ -109,10 +109,7 @@ def cmd_verify(args) -> int:
             print(f"{e.id}: PASS lambda={args.lam}")
         else:
             hist = sorted(set(report.histogram[1:]))
-            print(
-                f"{e.id}: FAIL lambda={args.lam} worst deviation "
-                f"{report.worst_deviation}, count values {hist}"
-            )
+            print(f"{e.id}: FAIL lambda={args.lam} {report}; count values {hist}")
             status = EXIT_VERIFY_FAIL
     return status
 
@@ -128,7 +125,7 @@ def cmd_search(args) -> int:
         if seed is None:
             seed = random.SystemRandom().randrange(2**32)
             print(f"seed: {seed} (pass --seed {seed} to reproduce)")
-        sizes = tuple(int(t) for t in args.sizes.split(","))
+        sizes = catalog.decimals(args.sizes.split(","))
         try:
             if args.skew_gs:
                 sels = search.search_skew_gs(
@@ -253,6 +250,14 @@ def cmd_table1(args) -> int:
     return EXIT_OK
 
 
+def _integer(text):
+    """argparse type: an integer as the corpus parser reads one."""
+    try:
+        return catalog.decimals([text])[0]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sdskit",
@@ -261,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("params", help="enumerate 3-block parameter sets for v")
-    p.add_argument("v", type=int)
+    p.add_argument("v", type=_integer)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_params)
 
@@ -269,24 +274,24 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--id", action="append", help="catalog entry id (repeatable)")
     g.add_argument("--file", help="corpus-format file to verify")
-    p.add_argument("--lambda", dest="lam", type=int, default=None)
+    p.add_argument("--lambda", dest="lam", type=_integer, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="orbit-union search for a family")
-    p.add_argument("v", type=int)
+    p.add_argument("v", type=_integer)
     p.add_argument("sizes", help="comma-separated block sizes")
-    p.add_argument("--q", type=int, required=True, help="prime orbit order")
-    p.add_argument("--budget", type=int, default=1_000_000,
+    p.add_argument("--q", type=_integer, required=True, help="prime orbit order")
+    p.add_argument("--budget", type=_integer, default=1_000_000,
                    help="units of work: one block choice evaluated "
                         "(exhaustive engine) or one move evaluated (local "
                         "engine); a local restart's initial counts are "
                         "not charged")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--seed", type=_integer, default=None)
+    p.add_argument("--workers", type=_integer, default=1,
                    help="split the local-search budget into N seeded streams "
                         "(at most one per budget unit) run one after another "
                         "(the exhaustive engine ignores it and the seed)")
-    p.add_argument("--want", type=int, default=1)
+    p.add_argument("--want", type=_integer, default=1)
     p.add_argument("--skew-gs", action="store_true", help="4-block skew search")
     p.add_argument("--out", help="append found families to this corpus file")
     p.set_defaults(func=cmd_search)

@@ -256,10 +256,7 @@ def build_skew_hadamard(
         )
     report = sds.verify_sds(fam, lam0)
     if not report.ok:
-        raise BuildError(
-            f"blocks are not an SDS at lambda={lam0} "
-            f"(worst deviation {report.worst_deviation})"
-        )
+        raise BuildError(f"blocks are not an SDS at lambda={lam0} ({report})")
     m = goethals_seidel(*fam.blocks)
     if not is_skew_hadamard(m):
         raise BuildError("assembled matrix failed the skew-Hadamard check")

@@ -197,6 +197,13 @@ class VerifyReport:
     def __bool__(self) -> bool:
         return self.ok
 
+    def __str__(self) -> str:
+        bad = [c for c, n in enumerate(self.histogram) if c and n != self.lam]
+        return (
+            f"worst deviation {self.worst_deviation}; {len(bad)} residues "
+            f"off lambda, first {bad[:5]}"
+        )
+
 
 def verify_sds(f: DifferenceFamily, lam: int) -> VerifyReport:
     """Check that every nonzero residue occurs exactly lam times as a

@@ -2,17 +2,18 @@
 
 Blocks are built as unions of orbits of a prime-order subgroup H of Z_v^*,
 which shrinks the search space from subsets of Z_v to subsets of orbit
-representatives.  Each orbit is one sds.Block mask and a block is the sum
-of its disjoint orbits' masks.  A block is H-invariant, so its difference
-counts are constant on each orbit: they are kept only at the (v-1)/q
-nonzero orbit representatives, by sds.Block.difference_counts.  Each block
-reaches the engines as a spec (fixed, groups) of masks: it holds the mask
-fixed and exactly m items of each (items, m) in groups, where an item is
-the mask of one orbit or of a set of orbits taken together.  Two engines
-are provided: exhaustive backtracking with count pruning for small orbit
-counts, and randomized-restart local search with single-item swaps
-otherwise.  Both see only masks; _run turns their results back into
-OrbitSelections.
+representatives.  zmod.OrbitSystem owns the orbit data: one sds.Block
+mask per orbit (a block is the sum of its disjoint orbits' masks), the
+negation pairs, and the expansion of representatives into a family.  A
+block is H-invariant, so its difference counts are constant on each orbit:
+they are kept only at the (v-1)/q nonzero orbit representatives, by
+sds.Block.difference_counts.  Each block reaches the engines as a spec
+(fixed, groups) of masks: it holds the mask fixed and exactly m items of
+each (items, m) in groups, where an item is the mask of one orbit or of a
+set of orbits taken together.  Two engines are provided: exhaustive
+backtracking with count pruning for small orbit counts, and
+randomized-restart local search with single-item swaps otherwise.  Both
+see only masks; _run turns their results back into OrbitSelections.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import equivalence, sds, zmod
-from .zmod import OrbitSystem
 
 # At most this many nontrivial orbits before switching from exhaustive
 # backtracking to local search.
@@ -78,29 +78,8 @@ def feasibility(v: int, sizes: Sequence[int], q: int) -> list[BlockPlan]:
 class OrbitSelection:
     """A family described by orbit representatives, one rep set per block."""
 
-    orbsys: OrbitSystem
+    orbsys: zmod.OrbitSystem
     reps_per_block: tuple[tuple[int, ...], ...]
-
-
-def expand(sel: OrbitSelection) -> sds.DifferenceFamily:
-    """Materialize an orbit selection into a difference family.
-
-    Representatives may be arbitrary orbit members; naming the same orbit
-    twice within a block is an error.
-    """
-    osys = sel.orbsys
-    blocks = []
-    for reps in sel.reps_per_block:
-        seen = set()
-        members: list[int] = []
-        for r in reps:
-            idx = osys.orbit_index_of(r)
-            if idx in seen:
-                raise ValueError(f"representative {r} duplicates an orbit")
-            seen.add(idx)
-            members.extend(osys.orbits[idx])
-        blocks.append(sds.Block.from_iterable(osys.v, members))
-    return sds.DifferenceFamily(osys.v, tuple(blocks))
 
 
 def _choices(fixed, groups):
@@ -253,19 +232,17 @@ def _search(v, sizes, lam, q, budget, seed, workers, want, skew):
     if skew and plans[0].include_zero:
         raise ValueError("skew first block cannot contain 0")
     orbsys = zmod.orbit_system(v, zmod.element_of_order(v, q))
-    masks = [sds.Block.from_iterable(v, orbit).mask for orbit in orbsys.orbits]
+    masks = orbsys.masks
     specs = [
         (masks[0] if plan.include_zero else 0, [(masks[1:], plan.orbit_count)])
         for plan in plans
     ]
     if skew:
-        pairs = negation_pairs(orbsys)
-        specs[0] = (0, [([masks[i], masks[j]], 1) for i, j in pairs])
+        specs[0] = (0, [([masks[i], masks[j]], 1) for i, j in orbsys.negation_pairs()])
     sels = _run(orbsys, specs, lam, budget, seed, workers, want)
     for sel in sels:
-        if not verify_selection(sel, lam) or (
-            skew and not sds.is_skew(expand(sel).blocks[0])
-        ):
+        fam = orbsys.family(sel.reps_per_block)
+        if not sds.verify_sds(fam, lam) or (skew and not sds.is_skew(fam.blocks[0])):
             raise RuntimeError(
                 f"search returned {sel.reps_per_block}, which fails to verify"
             )
@@ -295,23 +272,6 @@ def search_sds(
     return _search(p.v, p.sizes, p.lam, q, budget, seed, workers, want, False)
 
 
-def negation_pairs(orbsys: OrbitSystem) -> list[tuple[int, int]]:
-    """Pair up nontrivial orbits with their negations (q odd, so -1 is not
-    in the subgroup and the pairing is perfect)."""
-    pairs = []
-    done = set()
-    for i in range(1, len(orbsys.orbits)):
-        if i in done:
-            continue
-        j = orbsys.orbit_index_of(orbsys.v - orbsys.orbits[i][0])
-        if j == i:
-            raise ValueError("orbit is self-negating; subgroup order not odd?")
-        done.add(i)
-        done.add(j)
-        pairs.append((i, j))
-    return pairs
-
-
 def search_skew_gs(
     v: int,
     sizes: Sequence[int],
@@ -338,6 +298,3 @@ def search_skew_gs(
         raise ValueError("sizes do not admit an order-v family")
     return _search(v, sizes, lam0, q, budget, seed, workers, want, True)
 
-
-def verify_selection(sel: OrbitSelection, lam: int) -> bool:
-    return sds.verify_sds(expand(sel), lam).ok

@@ -1,5 +1,7 @@
 """Arithmetic in Z_v for prime v: primality, unit orders, primitive roots,
-subgroup orbits, and quadratic residues."""
+subgroup orbits, and quadratic residues.  OrbitSystem owns the orbit data
+that the corpus and the search share: orbit masks, negation pairs, and the
+expansion of orbit representatives into a difference family."""
 
 from __future__ import annotations
 
@@ -103,7 +105,8 @@ class OrbitSystem:
     h has prime order q, so the orbit of 0 is {0} and every other orbit
     has exactly q elements.  Orbits are sorted internally and listed in
     increasing order of their minimum element (the representative);
-    index[x] is the number of x's orbit.
+    index[x] is the number of x's orbit and masks[i] is orbit i's
+    sds.Block mask.
     """
 
     v: int
@@ -111,6 +114,7 @@ class OrbitSystem:
     q: int
     orbits: tuple[tuple[int, ...], ...]
     index: tuple[int, ...] = field(repr=False)
+    masks: tuple[int, ...] = field(repr=False)
 
     @property
     def reps(self) -> tuple[int, ...]:
@@ -119,12 +123,37 @@ class OrbitSystem:
     def orbit_index_of(self, x: int) -> int:
         return self.index[x % self.v]
 
+    def negation_pairs(self) -> list[tuple[int, int]]:
+        """Each nontrivial orbit i paired with the orbit j of its negation,
+        as (i, j) with i < j, in ascending i.  For odd q, -1 is not in the
+        subgroup and the pairing is perfect; even q is a ValueError."""
+        if self.q % 2 == 0:
+            raise ValueError(f"q={self.q} is even: every orbit is self-negating")
+        neg = [self.orbit_index_of(-o[0]) for o in self.orbits]
+        return [(i, j) for i, j in enumerate(neg) if 0 < i < j]
+
+    def family(self, reps_per_block):
+        """The difference family whose block i is the union of the orbits
+        named by reps_per_block[i].  A rep may be any member of its orbit;
+        naming one orbit twice within a block is a ValueError."""
+        from . import sds
+
+        blocks = []
+        for reps in reps_per_block:
+            taken = {self.orbit_index_of(r) for r in reps}
+            if len(taken) < len(reps):
+                raise ValueError(f"representatives {reps} repeat an orbit")
+            blocks.append(sds.Block(self.v, sum(self.masks[i] for i in taken)))
+        return sds.DifferenceFamily(self.v, blocks)
+
 
 def orbit_system(v: int, h: int) -> OrbitSystem:
     """Build the full orbit partition of Z_v under the subgroup <h>.
 
     h must have prime order in Z_v^*.
     """
+    from . import sds
+
     if not is_prime(v):
         raise ValueError(f"v={v} is not prime")
     h %= v
@@ -143,7 +172,8 @@ def orbit_system(v: int, h: int) -> OrbitSystem:
             orb.append(x)
             x = x * h % v
         orbits.append(tuple(sorted(orb)))
-    return OrbitSystem(v=v, h=h, q=q, orbits=tuple(orbits), index=tuple(index))
+    masks = tuple(sds.Block.from_iterable(v, orb).mask for orb in orbits)
+    return OrbitSystem(v, h, q, tuple(orbits), tuple(index), masks)
 
 
 def quadratic_residues(v: int):

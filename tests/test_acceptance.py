@@ -131,7 +131,7 @@ def test_6_search_rediscovery():
         found31 = search.search_sds(p31, 5, budget=2_000_000, seed=2026)
     ok = bool(found19) and bool(found31)
     for sel, lam in [(s, 8) for s in found19] + [(s, 17) for s in found31]:
-        ok = ok and sds.verify_sds(search.expand(sel), lam).ok
+        ok = ok and sds.verify_sds(sel.orbsys.family(sel.reps_per_block), lam).ok
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60.0
     _report(6, "search rediscovers (19;9,7,6;8) and (31;15,15,10;17)", ok, elapsed)

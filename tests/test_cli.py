@@ -82,6 +82,28 @@ class TestVerify:
         assert code == cli.EXIT_VERIFY_FAIL
         assert "worst deviation" in out
 
+    def test_wrong_lambda_names_residues(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--id", "appx-11-4-4-3", "--lambda", "4"
+        )
+        assert code == cli.EXIT_VERIFY_FAIL
+        assert out == (
+            "appx-11-4-4-3: FAIL lambda=4 worst deviation 1; 10 residues off "
+            "lambda, first [1, 2, 3, 4, 5]; count values [3]\n"
+        )
+
+    def test_tampered_file_names_residues(self, capsys, tmp_path):
+        # differences of {0,1}, {0,2}, {0,5} mod 7 hit 2 and 5 twice, 3 and
+        # 4 never
+        f = tmp_path / "bad.txt"
+        f.write_text(BAD_CORPUS)
+        code, out, _ = run(capsys, "verify", "--file", str(f))
+        assert code == cli.EXIT_VERIFY_FAIL
+        assert out == (
+            "demo-7: FAIL (entry demo-7: verification failed at lambda=1 "
+            "(worst deviation 1; 4 residues off lambda, first [2, 3, 4, 5]))\n"
+        )
+
     def test_compose_entry_alone(self, capsys):
         # the compose target is not named on the command line
         code, out, _ = run(capsys, "verify", "--id", "appx-59-29-28-22")
@@ -281,6 +303,41 @@ class TestSearch:
         )
         assert code == cli.EXIT_OK
         assert "found " in out
+
+
+class TestIntegers:
+    """Every integer on the command line is ASCII digits with an optional
+    leading '-', as in corpus files: int() alone would take 1_9 and +6."""
+
+    SEARCH = ["search", "19", "9,7,6", "--q", "3", "--seed", "1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["params", "1_9"],
+        ["params", "+7"],
+        ["params", "\u0667"],  # ARABIC-INDIC DIGIT SEVEN
+        ["search", "1_9", "9,7,6", "--q", "3", "--seed", "1"],
+        ["search", "19", "9,7,6", "--q", "+3", "--seed", "1"],
+        SEARCH + ["--budget", "1_000"],
+        ["search", "19", "9,7,6", "--q", "3", "--seed", "+1"],
+        SEARCH + ["--workers", " 2"],
+        SEARCH + ["--want", "1_0"],
+        ["verify", "--id", "appx-11-4-4-3", "--lambda", "+4"],
+    ], ids=["params-underscore", "params-plus", "params-arabic-indic", "v", "q",
+            "budget", "seed", "workers-space", "want", "lambda"])
+    def test_option_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "not decimal integers" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sizes", ["9,7,+6", "9,7_0,6", "9, 7,6", "9,7,\u0666"])
+    def test_sizes_token_is_bad_input(self, capsys, sizes):
+        code, out, err = run(capsys, "search", "19", sizes, "--q", "3", "--seed", "1")
+        assert code == cli.EXIT_BAD_INPUT
+        assert err.startswith("error: not decimal integers")
+        assert out == ""
 
 
 class TestHadamard:

@@ -35,33 +35,6 @@ class TestFeasibility:
             search.feasibility(107, (49, 48, 46), 3)
 
 
-class TestExpand:
-    def test_v7_single_orbit(self):
-        osys = zmod.orbit_system(7, 2)
-        sel = search.OrbitSelection(osys, ((1,),))
-        f = search.expand(sel)
-        assert f.member_lists() == ((1, 2, 4),)
-
-    def test_arbitrary_representative(self):
-        osys = zmod.orbit_system(7, 2)
-        # 4 names the same orbit as 1
-        sel = search.OrbitSelection(osys, ((4,),))
-        assert search.expand(sel).member_lists() == ((1, 2, 4),)
-
-    def test_duplicate_orbit_rejected(self):
-        osys = zmod.orbit_system(7, 2)
-        sel = search.OrbitSelection(osys, ((1, 2),))
-        with pytest.raises(ValueError):
-            search.expand(sel)
-
-    def test_catalog_family_sizes_and_lambda(self, entries):
-        from sdskit import catalog
-
-        e = catalog.entry_by_id(entries, "gs956-family1")
-        assert e.family.sizes == (119, 112, 106)
-        assert sds.verify_sds(e.family, 158).ok
-
-
 def _rep_counts(osys, members):
     return sds.Block.from_iterable(osys.v, members).difference_counts(
         osys.reps[1:]
@@ -132,11 +105,12 @@ class TestSearchSds:
         sels = search.search_sds(p, 3, budget=200_000, seed=1)
         assert sels
         for sel in sels:
-            assert sds.verify_sds(search.expand(sel), 8).ok
+            assert sds.verify_sds(sel.orbsys.family(sel.reps_per_block), 8).ok
 
     def test_unverified_result_raises(self, monkeypatch):
         # the result check is a raise, not an assert, so it survives -O
-        monkeypatch.setattr(search, "verify_selection", lambda sel, lam: False)
+        failing = sds.VerifyReport(ok=False, lam=8, histogram=(), worst_deviation=1)
+        monkeypatch.setattr(sds, "verify_sds", lambda f, lam: failing)
         p = sds.ParameterSet(19, (9, 7, 6), 8)
         with pytest.raises(RuntimeError):
             search.search_sds(p, 3, budget=200_000, seed=1)
@@ -156,7 +130,8 @@ class TestSearchSds:
         p = sds.ParameterSet(19, (7, 7, 7), 7)
         sels = search.search_sds(p, 3, budget=2_000_000, seed=2, want=50)
         forms = [
-            equivalence.canonical_form(search.expand(s)).blocks for s in sels
+            equivalence.canonical_form(s.orbsys.family(s.reps_per_block)).blocks
+            for s in sels
         ]
         assert len(forms) == len(set(forms))
 
@@ -169,7 +144,7 @@ class TestSearchSds:
             ((1, 6, 11, 12, 17), (1, 6, 8, 12, 17), (0, 2, 11, 12))
         ]
         for sel in sels:
-            assert sds.verify_sds(search.expand(sel), 17).ok
+            assert sds.verify_sds(sel.orbsys.family(sel.reps_per_block), 17).ok
 
     def test_workers_merge_deterministically(self, monkeypatch):
         monkeypatch.setattr(search, "EXHAUSTIVE_ORBIT_LIMIT", 0)
@@ -219,20 +194,11 @@ class TestSearchSds:
 
 
 class TestSearchSkewGs:
-    def test_structural_filter_v7(self):
-        osys = zmod.orbit_system(7, 2)
-        pairs = search.negation_pairs(osys)
-        assert len(pairs) == 1
-        reps = {osys.orbits[i][0] for i in pairs[0]} | {
-            osys.orbits[j][0] for j in pairs[0]
-        }
-        assert reps == {1, 3}
-
     def test_v19_skew_search(self):
         sels = search.search_skew_gs(19, (9, 9, 7, 6), 3, budget=500_000, seed=1)
         assert sels
         for sel in sels:
-            fam = search.expand(sel)
+            fam = sel.orbsys.family(sel.reps_per_block)
             assert sds.verify_sds(fam, 31 - 19).ok
             assert sds.is_skew(fam.blocks[0])
 
@@ -248,7 +214,7 @@ class TestSearchSkewGs:
         assert [s.reps_per_block for s in sels] == [
             ((5, 8, 10), (2, 5, 10), (0, 1, 5), (2, 8))
         ]
-        fam = search.expand(sels[0])
+        fam = sels[0].orbsys.family(sels[0].reps_per_block)
         assert sds.verify_sds(fam, 12).ok and sds.is_skew(fam.blocks[0])
 
     def test_v43_exhaustive_pinned(self):
@@ -269,7 +235,7 @@ class TestSearchSkewGs:
             ((2, 3, 7), (2, 3, 6), (3, 7, 9), (0, 2, 3)),
         ]
         for sel in sels:
-            fam = search.expand(sel)
+            fam = sel.orbsys.family(sel.reps_per_block)
             assert sds.verify_sds(fam, 35).ok and sds.is_skew(fam.blocks[0])
 
     @pytest.mark.parametrize("v,sizes", [(17, (8, 7, 7, 5)), (19, (9, 9, 7, 6))])
@@ -291,7 +257,7 @@ class TestSearchSkewGs:
         from sdskit import hadamard
 
         sels = search.search_skew_gs(19, (9, 9, 7, 6), 3, budget=500_000, seed=1)
-        fam = search.expand(sels[0])
+        fam = sels[0].orbsys.family(sels[0].reps_per_block)
         m = hadamard.build_skew_hadamard(19, *fam.blocks)
         assert hadamard.is_skew_hadamard(m)
         assert m.n == 76

@@ -1,7 +1,12 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from sdskit import zmod
+from sdskit import catalog, sds, zmod
 
 
 def _sieve_primes(limit):
@@ -106,6 +111,122 @@ def test_orbit_partition_property(vq):
     for orb in osys.orbits[1:]:
         assert len(orb) == q
     assert len(set(osys.reps)) == len(osys.orbits)
+
+
+ORBIT_CASES = [(31, 3), (43, 7), (239, 7), (331, 11)]
+
+
+def _osys(v, q):
+    return zmod.orbit_system(v, zmod.element_of_order(v, q))
+
+
+@pytest.mark.parametrize("v,q", [(7, 3)] + ORBIT_CASES)
+def test_orbit_masks_are_block_masks(v, q):
+    osys = _osys(v, q)
+    assert len(osys.masks) == len(osys.orbits)
+    for orbit, mask in zip(osys.orbits, osys.masks):
+        assert mask == sds.Block.from_iterable(v, orbit).mask
+
+
+def test_orbit_masks_not_in_repr():
+    assert "masks" not in repr(zmod.orbit_system(7, 2))
+
+
+class TestExpand:
+    def test_v7_single_orbit(self):
+        osys = zmod.orbit_system(7, 2)
+        f = osys.family(((1,),))
+        assert f.member_lists() == ((1, 2, 4),)
+
+    def test_arbitrary_representative(self):
+        osys = zmod.orbit_system(7, 2)
+        # 4 names the same orbit as 1
+        assert osys.family(((4,),)).member_lists() == ((1, 2, 4),)
+
+    def test_duplicate_orbit_rejected(self):
+        osys = zmod.orbit_system(7, 2)
+        with pytest.raises(ValueError):
+            osys.family(((1, 2),))
+
+    def test_catalog_family_sizes_and_lambda(self, entries):
+        e = catalog.entry_by_id(entries, "gs956-family1")
+        assert e.family.sizes == (119, 112, 106)
+        assert sds.verify_sds(e.family, 158).ok
+
+    @pytest.mark.parametrize("v,q", ORBIT_CASES)
+    def test_family_is_union_of_orbits(self, v, q):
+        # reps are random orbit members, not only the least ones
+        rng = random.Random(v * q)
+        osys = _osys(v, q)
+        for trial in range(20):
+            nontrivial = range(1, len(osys.orbits))
+            picked = rng.sample(nontrivial, rng.randint(0, min(8, len(nontrivial))))
+            if trial % 2:
+                picked.append(0)
+            reps_per_block = []
+            unions = []
+            for _ in range(rng.randint(1, 4)):
+                chosen = rng.sample(picked, rng.randint(0, len(picked)))
+                reps_per_block.append(
+                    tuple(rng.choice(osys.orbits[i]) for i in chosen)
+                )
+                unions.append(set().union(*(osys.orbits[i] for i in chosen)))
+            fam = osys.family(reps_per_block)
+            assert fam.v == v
+            assert [set(m) for m in fam.member_lists()] == unions
+
+    @pytest.mark.parametrize("v,q", ORBIT_CASES)
+    def test_repeated_orbit_rejected(self, v, q):
+        # two distinct members of one orbit, in a block after a valid one
+        rng = random.Random(v + q)
+        osys = _osys(v, q)
+        for _ in range(10):
+            i, j = rng.sample(range(1, len(osys.orbits)), 2)
+            a, b = rng.sample(osys.orbits[i], 2)
+            block = (a, rng.choice(osys.orbits[j]), b)
+            with pytest.raises(ValueError, match="repeat an orbit"):
+                osys.family(((0,), block))
+
+
+class TestNegationPairs:
+    def test_structural_filter_v7(self):
+        osys = zmod.orbit_system(7, 2)
+        pairs = osys.negation_pairs()
+        assert len(pairs) == 1
+        reps = {osys.orbits[i][0] for i in pairs[0]} | {
+            osys.orbits[j][0] for j in pairs[0]
+        }
+        assert reps == {1, 3}
+
+    @pytest.mark.parametrize("v,q", [(7, 3), (19, 3)] + ORBIT_CASES)
+    def test_against_brute_force(self, v, q):
+        osys = _osys(v, q)
+        pairs = osys.negation_pairs()
+        for i, j in pairs:
+            assert {-x % v for x in osys.orbits[i]} == set(osys.orbits[j])
+        assert [i for i, _ in pairs] == sorted(i for i, _ in pairs)
+        named = [k for pair in pairs for k in pair]
+        assert sorted(named) == list(range(1, len(osys.orbits)))
+
+    @pytest.mark.parametrize("v", [7, 17, 19])
+    def test_q2_rejected(self, v):
+        osys = _osys(v, 2)
+        assert osys.q == 2
+        with pytest.raises(ValueError):
+            osys.negation_pairs()
+
+
+def test_catalog_does_not_import_search():
+    # the child imports the same sdskit as this process
+    src = os.path.dirname(os.path.dirname(zmod.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import sdskit.catalog; "
+        "sdskit.catalog.load_default(); print('sdskit.search' in sys.modules)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "False\n"
 
 
 def test_quadratic_residues_small():
