@@ -62,14 +62,12 @@ class CatalogEntry:
         return "none"
 
 
-_DIGITS_AND_MINUS = str.maketrans("", "", "-0123456789")
-
-
 def decimals(tokens: list[str]) -> tuple[int, ...]:
-    """int() of each token, which may hold only ASCII digits and '-' (int()
-    alone takes '+', '_', spaces and non-ASCII digits): how the corpus
-    parser and the CLI read every integer."""
-    if "".join(tokens).translate(_DIGITS_AND_MINUS):
+    """int() of each token, which must be ASCII digits after at most one
+    leading '-' (int() alone takes '+', '_', spaces and non-ASCII digits,
+    and gives a raw message for '', '-' or '5-3'): how the corpus parser
+    and the CLI read every integer."""
+    if not all(t.removeprefix("-").isdigit() and t.isascii() for t in tokens):
         raise ValueError(f"not decimal integers: {' '.join(tokens)!r}")
     return tuple(map(int, tokens))
 

@@ -115,38 +115,33 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    # --out is opened before the search, so an unwritable path fails first
+    sizes = catalog.decimals(args.sizes.split(","))
+    counts = dict(budget=args.budget, workers=args.workers, want=args.want)
+    lam = sds.derive_lambda(args.v, sizes)  # plan_skew_gs checks it is sum(sizes)-v
+    try:
+        if args.skew_gs:
+            run = search.plan_skew_gs(args.v, sizes, args.q, **counts)
+        elif lam is None:
+            raise ValueError("sizes admit no integral lambda")
+        else:
+            run = search.plan_sds(sds.ParameterSet(args.v, sizes, lam), args.q, **counts)
+    except search.InfeasibleError as exc:
+        print("infeasible for the orbit method:")
+        for r in exc.reasons:
+            print(f"  {r}")
+        return EXIT_BAD_INPUT
+    # --out opens after the checks (bad input makes no file), before the search
     with open(args.out, "a+", encoding="ascii") if args.out else nullcontext() as fh:
         taken = set()
         if fh:
             fh.seek(0)
             taken = {e.id for e in catalog.load_catalog(fh.read(), verify=False)}
+        # the input has passed every check, so a seed line means a search
         seed = args.seed
         if seed is None:
             seed = random.SystemRandom().randrange(2**32)
             print(f"seed: {seed} (pass --seed {seed} to reproduce)")
-        sizes = catalog.decimals(args.sizes.split(","))
-        try:
-            if args.skew_gs:
-                sels = search.search_skew_gs(
-                    args.v, sizes, args.q, budget=args.budget, seed=seed,
-                    workers=args.workers, want=args.want,
-                )
-                lam = sum(sizes) - args.v
-            else:
-                lam = sds.derive_lambda(args.v, sizes)
-                if lam is None:
-                    raise ValueError("sizes admit no integral lambda")
-                p = sds.ParameterSet(args.v, sizes, lam)
-                sels = search.search_sds(
-                    p, args.q, budget=args.budget, seed=seed,
-                    workers=args.workers, want=args.want,
-                )
-        except search.InfeasibleError as exc:
-            print("infeasible for the orbit method:")
-            for r in exc.reasons:
-                print(f"  {r}")
-            return EXIT_BAD_INPUT
+        sels = run(seed)
         if not sels:
             print("no family found within budget (not a nonexistence proof)")
             return EXIT_OK

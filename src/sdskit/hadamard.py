@@ -2,8 +2,10 @@
 
 All arithmetic is on packed sign bits (bit set = -1 entry); verification
 is popcount-based and certificate-grade, with no floating point.  Rows
-move whole as `_bits` text.  A matrix of Goethals-Seidel shape is certified
-from its four block leaders (_gs_shape); any other matrix row pair by row
+move whole as sds.bit_text text, and every v-bit rotation is
+sds.rotations.  One step rule (_gs_rows) both builds the Goethals-Seidel
+array and recognises its rows: a matrix of that shape is certified from
+its four block leaders (_gs_shape); any other matrix row pair by row
 pair, with skewness checked as row i XOR column i.
 """
 
@@ -12,15 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sds
-from .sds import Block, DifferenceFamily
+from .sds import Block, DifferenceFamily, bit_text, from_bit_text, rotations
 
 _TO_SIGNS = str.maketrans("01", "+-")
 _TO_BITS = str.maketrans("+-", "01")
-
-
-def _bits(row: int, n: int) -> str:
-    """The n bits of row as '0'/'1' characters, column 0 first."""
-    return format(row, f"0{n}b")[::-1]
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,27 @@ class SignMatrix:
         return -1 if (self.rows[i] >> j) & 1 else 1
 
     def to_lines(self) -> list[str]:
-        return [_bits(r, self.n).translate(_TO_SIGNS) for r in self.rows]
+        return [bit_text(r, self.n).translate(_TO_SIGNS) for r in self.rows]
+
+
+def _gs_rows(v: int, row: int, signs):
+    """A Goethals-Seidel block row from its leader `row`: v rows, each the
+    one before it with v-bit chunk c rotated left by one (bit k to k+1,
+    bit v-1 to 0) when signs[c] = +1 and right by one (bit k to k-1, bit 0
+    to v-1) when signs[c] = -1, in all four chunks at once."""
+    full = (1 << v) - 1
+    up = wrap_down = down = wrap_up = 0
+    for c, sc in enumerate(signs):
+        if sc == 1:
+            up |= (full ^ 1) << (c * v)
+            wrap_down |= 1 << (c * v)
+        else:
+            down |= (full >> 1) << (c * v)
+            wrap_up |= 1 << (c * v + v - 1)
+    for _ in range(v):
+        yield row
+        row = ((row << 1 & up) | (row >> (v - 1) & wrap_down)
+               | (row >> 1 & down) | (row << (v - 1) & wrap_up))
 
 
 def goethals_seidel(a0: Block, a1: Block, a2: Block, a3: Block) -> SignMatrix:
@@ -57,49 +74,41 @@ def goethals_seidel(a0: Block, a1: Block, a2: Block, a3: Block) -> SignMatrix:
         [ -Z3 R  -Z2'R    Z1'R    Z0    ]
 
     Row r of Z_i is a_i translated by r, row r of Z_i R is -a_i translated
-    by -1-r, and row r of Z_i'R is a_i translated by -1-r.
+    by -1-r (a_i with its bits reversed, rotated right by r), and row r of
+    Z_i'R is a_i translated by -1-r.  So each block row is _gs_rows of its
+    leader row (r = 0), with sign +1 on the Z0 chunk and -1 on the other
+    three.
     """
     v = a0.v
     if not (a1.v == a2.v == a3.v == v):
         raise ValueError("all four blocks must share one modulus")
     full = (1 << v) - 1
-
-    def rows(b, start, step):
-        return [b.translate(start + step * r).mask for r in range(v)]
-
-    def neg(block):
-        return [row ^ full for row in block]
-
-    z0 = rows(a0, 0, 1)
-    z1r, z2r, z3r = (rows(a.negate(), -1, -1) for a in (a1, a2, a3))
-    z1tr, z2tr, z3tr = (rows(a, -1, -1) for a in (a1, a2, a3))
-    grid = [
+    z0 = a0.mask
+    z1r, z2r, z3r = (int(bit_text(a.mask, v), 2) for a in (a1, a2, a3))
+    z1tr, z2tr, z3tr = (rotations(a.mask, v, [v - 1])[0] for a in (a1, a2, a3))
+    leaders = [
         [z0, z1r, z2r, z3r],
-        [neg(z1r), z0, neg(z3tr), z2tr],
-        [neg(z2r), z3tr, z0, neg(z1tr)],
-        [neg(z3r), neg(z2tr), z1tr, z0],
+        [z1r ^ full, z0, z3tr ^ full, z2tr],
+        [z2r ^ full, z3tr, z0, z1tr ^ full],
+        [z3r ^ full, z2tr ^ full, z1tr, z0],
     ]
     out = []
-    for block_row in grid:
-        for r in range(v):
-            row = 0
-            for bj, block in enumerate(block_row):
-                row |= block[r] << (bj * v)
-            out.append(row)
+    for b, chunks in enumerate(leaders):
+        row = sum(x << (c * v) for c, x in enumerate(chunks))
+        out += _gs_rows(v, row, [1 if c == b else -1 for c in range(4)])
     return SignMatrix(4 * v, tuple(out))
 
 
 def _gs_shape(m: SignMatrix):
     """The block leaders of a Goethals-Seidel-shaped matrix, or None.
 
-    m has the shape when n = 4v with v odd and every v-bit chunk c of row
-    bv+r (r >= 1) is the same chunk of row bv+r-1 rotated left by a sign
-    s[b][c] in {+1, -1}, fixed for the block.  Then chunk c of row bv+r is
-    x[b][c] rotated left by s[b][c]*r, where x[b][c] is chunk c of the
-    leader row bv.  Returns (v, x, s), a constant chunk taking sign +1 as
-    both rotations fix it, or None as soon as a row breaks the pattern.
-    Every goethals_seidel output has the shape, with s = +1 on the Z0
-    blocks and s = -1 on the others.
+    m has the shape when n = 4v with v odd and each block row b is _gs_rows
+    of its leader row bv with signs s[b], fixed for the block row.  Then
+    chunk c of row bv+r is x[b][c] rotated left by s[b][c]*r, where x[b][c]
+    is chunk c of the leader row bv.  Returns (v, x, s), a constant chunk
+    taking sign +1 as both rotations fix it, or None when a row breaks the
+    pattern.  Every goethals_seidel output has the shape, with s = +1 on
+    the Z0 blocks and s = -1 on the others.
     """
     v, rem = divmod(m.n, 4)
     if rem or v % 2 == 0:
@@ -116,25 +125,11 @@ def _gs_shape(m: SignMatrix):
         lead = [(rows[0] >> (c * v)) & full for c in range(4)]
         second = rows[1] if v > 1 else rows[0]
         signs = [
-            1 if (second >> (c * v)) & full == Block(v, xc).translate(1).mask else -1
+            1 if (second >> (c * v)) & full == rotations(xc, v, [1])[0] else -1
             for c, xc in enumerate(lead)
         ]
-        # one step moves bit k of a +1 chunk to k+1 (bit v-1 to 0) and bit
-        # k of a -1 chunk to k-1 (bit 0 to v-1), in all four chunks at once
-        up = wrap_down = down = wrap_up = 0
-        for c, sc in enumerate(signs):
-            if sc == 1:
-                up |= (full ^ 1) << (c * v)
-                wrap_down |= 1 << (c * v)
-            else:
-                down |= (full >> 1) << (c * v)
-                wrap_up |= 1 << (c * v + v - 1)
-        for prev, row in zip(rows, rows[1:]):
-            if row != (
-                (prev << 1 & up) | (prev >> (v - 1) & wrap_down)
-                | (prev >> 1 & down) | (prev << (v - 1) & wrap_up)
-            ):
-                return None
+        if tuple(_gs_rows(v, rows[0], signs)) != rows:
+            return None
         x.append(lead)
         s.append(signs)
     return v, x, s
@@ -161,21 +156,18 @@ def is_hadamard(m: SignMatrix) -> bool:
     shape = _gs_shape(m)
     if shape is not None:
         v, x, s = shape
-        full = (1 << v) - 1
         for b in range(4):
             for b2 in range(b, 4):
                 f, h = [0] * v, [0] * v
                 for c in range(4):
-                    y = x[b2][c]
-                    twice = y | y << v
-                    # (twice >> v-k) & full is y rotated left by k, and
-                    # (twice >> k) & full is y rotated right by k
-                    shifts = range(v, 0, -1) if s[b2][c] == 1 else range(v)
+                    # x[b2][c] rotated by s[b2][c]*k for k = 0..v-1; left by
+                    # v-k is right by k
+                    shifts = range(v) if s[b2][c] == 1 else range(v, 0, -1)
                     acc = f if s[b][c] == s[b2][c] else h
                     xc = x[b][c]
                     acc[:] = [
-                        t + v - 2 * (xc ^ (twice >> sh) & full).bit_count()
-                        for t, sh in zip(acc, shifts)
+                        t + v - 2 * (xc ^ y).bit_count()
+                        for t, y in zip(acc, rotations(x[b2][c], v, shifts))
                     ]
                 if b == b2:
                     if f[0] != n or any(f[1:]):
@@ -215,8 +207,7 @@ def is_skew_hadamard(m: SignMatrix) -> bool:
         v, x, s = shape
         full = (1 << v) - 1
         for b in range(4):
-            xb = x[b][b]
-            if s[b][b] != 1 or xb & 1 or xb ^ Block(v, xb).negate().mask != full ^ 1:
+            if s[b][b] != 1 or not sds.is_skew(Block(v, x[b][b])):
                 return False
             for c in range(b + 1, 4):
                 xbc, xcb = x[b][c], x[c][b]
@@ -230,9 +221,9 @@ def is_skew_hadamard(m: SignMatrix) -> bool:
                     return False
     else:
         full = (1 << n) - 1
-        columns = zip(*(_bits(r, n) for r in m.rows))
+        columns = zip(*(bit_text(r, n) for r in m.rows))
         for i, (row, column) in enumerate(zip(m.rows, columns)):
-            if (row >> i) & 1 or row ^ int("".join(column)[::-1], 2) != full ^ (1 << i):
+            if (row >> i) & 1 or row ^ from_bit_text("".join(column)) != full ^ (1 << i):
                 return False
     return is_hadamard(m)
 
@@ -282,7 +273,7 @@ def read_matrix(path) -> SignMatrix:
             line = fh.readline().strip()
             if len(line) != n or line.strip("+-"):
                 raise ValueError(f"line {k}: malformed matrix row, need {n} +/- signs")
-            rows.append(int(line.translate(_TO_BITS)[::-1], 2))
+            rows.append(from_bit_text(line.translate(_TO_BITS)))
         if fh.read().strip():
             raise ValueError(f"lines after the {n} matrix rows")
     return SignMatrix(n, tuple(rows))

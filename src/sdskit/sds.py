@@ -1,5 +1,6 @@
 """Supplementary difference sets: blocks, parameter sets, the difference
-verifier, parameter enumeration, and block-level predicates."""
+verifier, parameter enumeration, and block-level predicates.  sds owns the
+package's packed bits: mask rotation (rotations) and bit text (bit_text)."""
 
 from __future__ import annotations
 
@@ -10,18 +11,24 @@ from typing import Iterable, Optional, Sequence
 from . import zmod
 
 
-def _rotl(x: int, r: int, v: int) -> int:
-    """Rotate the low v bits of x left by r (bit i -> bit (i+r) mod v)."""
-    r %= v
-    if r == 0:
-        return x
-    mask = (1 << v) - 1
-    return ((x << r) | (x >> (v - r))) & mask
+def rotations(x: int, v: int, shifts: Iterable[int]) -> list[int]:
+    """The low v bits of x rotated left by each r in shifts (bit i -> bit
+    (i+r) mod v); each r must lie in 0..v, and rotating left by v-r is
+    rotating right by r."""
+    twice = x | x << v  # x rotated left by r is bits v-r..2v-r-1 of twice
+    full = (1 << v) - 1
+    return [(twice >> (v - r)) & full for r in shifts]
 
 
-def _reverse(x: int, v: int) -> int:
-    """Reverse the low v bits of x (bit i -> bit v-1-i)."""
-    return int(f"{x:0{v}b}"[::-1], 2)
+def bit_text(x: int, n: int) -> str:
+    """The low n bits of x as '0'/'1' characters, bit 0 first; int(text, 2)
+    of it reverses the n bits (bit i -> bit n-1-i)."""
+    return format(x, f"0{n}b")[::-1]
+
+
+def from_bit_text(text: str) -> int:
+    """The inverse of bit_text: character i of text is bit i."""
+    return int(text[::-1], 2)
 
 
 def least_translate_key(v: int, members: Sequence[int]) -> int:
@@ -37,15 +44,13 @@ def least_translate_key(v: int, members: Sequence[int]) -> int:
     key = 0
     for y in members:
         key |= 1 << (v - 1 - y)
-    twice = key | key << v  # rotl(key, y) is bits v-y..2v-y-1 of twice
-    full = (1 << v) - 1
-    return max(((twice >> (v - y)) & full for y in members), default=0)
+    return max(rotations(key, v, members), default=0)
 
 
 def key_members(v: int, key: int) -> tuple[int, ...]:
     """The sorted members of the set whose key is `key` (the inverse of the
     layout in least_translate_key)."""
-    return Block(v, _reverse(key, v)).members()
+    return Block(v, int(bit_text(key, v), 2)).members()
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,7 @@ class Block:
         return Block(self.v, self.mask ^ ((1 << self.v) - 1))
 
     def translate(self, t: int) -> "Block":
-        return Block(self.v, _rotl(self.mask, t, self.v))
+        return Block(self.v, rotations(self.mask, self.v, [t % self.v])[0])
 
     def scale(self, m: int) -> "Block":
         """The block {m*x mod v : x in this block}."""
@@ -93,13 +98,14 @@ class Block:
     def negate(self) -> "Block":
         """The block {-x mod v : x in this block}: reversing the bits maps
         i to v-1-i, and one more rotation maps that to v-i."""
-        return Block(self.v, _rotl(_reverse(self.mask, self.v), 1, self.v))
+        m, v = self.mask, self.v
+        return Block(v, rotations(int(bit_text(m, v), 2), v, [1])[0])
 
     def difference_counts(self, residues: Iterable[int]) -> list[int]:
         """For each c in residues, the number of ordered member pairs (a, b)
         with a - b = c (mod v): the popcount of mask AND mask rotated by c."""
         m, v = self.mask, self.v
-        return [(m & _rotl(m, c, v)).bit_count() for c in residues]
+        return [(m & y).bit_count() for y in rotations(m, v, [c % v for c in residues])]
 
 
 @dataclass(frozen=True)
@@ -258,10 +264,7 @@ def enumerate_P(v: int) -> list[ParameterSet]:
 def is_skew(b: Block) -> bool:
     """True iff 0 is absent and exactly one of {i, v-i} is present for
     every i in 1..v-1."""
-    if 0 in b:
-        return False
-    neg = b.negate()
-    return (b.mask | neg.mask) == ((1 << b.v) - 1) - 1 and (b.mask & neg.mask) == 0
+    return 0 not in b and b.mask ^ b.negate().mask == (1 << b.v) - 2
 
 
 def is_symmetric(b: Block) -> bool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import equivalence, sds, zmod
 
@@ -223,8 +223,9 @@ def _run(orbsys, specs, lam, budget, seed, workers, want):
     ]
 
 
-def _search(v, sizes, lam, q, budget, seed, workers, want, skew):
-    """The search behind search_sds and, with skew, search_skew_gs."""
+def _plan(v, sizes, lam, q, budget, workers, want, skew):
+    """The checks and block specs behind plan_sds and, with skew,
+    plan_skew_gs; returns the search as a function of the seed."""
     for name, count in (("budget", budget), ("workers", workers), ("want", want)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1, not {count}")
@@ -239,23 +240,32 @@ def _search(v, sizes, lam, q, budget, seed, workers, want, skew):
     ]
     if skew:
         specs[0] = (0, [([masks[i], masks[j]], 1) for i, j in orbsys.negation_pairs()])
-    sels = _run(orbsys, specs, lam, budget, seed, workers, want)
-    for sel in sels:
-        fam = orbsys.family(sel.reps_per_block)
-        if not sds.verify_sds(fam, lam) or (skew and not sds.is_skew(fam.blocks[0])):
-            raise RuntimeError(
-                f"search returned {sel.reps_per_block}, which fails to verify"
-            )
-    return sels
+
+    def run(seed):
+        sels = _run(orbsys, specs, lam, budget, seed, workers, want)
+        for sel in sels:
+            fam = orbsys.family(sel.reps_per_block)
+            if not sds.verify_sds(fam, lam) or (skew and not sds.is_skew(fam.blocks[0])):
+                raise RuntimeError(
+                    f"search returned {sel.reps_per_block}, which fails to verify"
+                )
+        return sels
+
+    return run
+
+
+def plan_sds(
+    p: sds.ParameterSet, q: int, budget: int = 1_000_000, workers: int = 1,
+    want: int = 1,
+) -> Callable[[int], list[OrbitSelection]]:
+    """search_sds up to the search: it raises on all input that search_sds
+    rejects, and plan_sds(p, q, budget, workers, want)(seed) is search_sds."""
+    return _plan(p.v, p.sizes, p.lam, q, budget, workers, want, False)
 
 
 def search_sds(
-    p: sds.ParameterSet,
-    q: int,
-    budget: int = 1_000_000,
-    seed: int = 0,
-    workers: int = 1,
-    want: int = 1,
+    p: sds.ParameterSet, q: int, budget: int = 1_000_000, seed: int = 0,
+    workers: int = 1, want: int = 1,
 ) -> list[OrbitSelection]:
     """Find difference families with parameters p as unions of q-orbits.
 
@@ -269,25 +279,14 @@ def search_sds(
     exhaustive engine ignores `workers` and `seed`.  A budget, workers or
     want below 1 is a ValueError.
     """
-    return _search(p.v, p.sizes, p.lam, q, budget, seed, workers, want, False)
+    return plan_sds(p, q, budget, workers, want)(seed)
 
 
-def search_skew_gs(
-    v: int,
-    sizes: Sequence[int],
-    q: int,
-    budget: int = 1_000_000,
-    seed: int = 0,
-    workers: int = 1,
+def plan_skew_gs(
+    v: int, sizes: Sequence[int], q: int, budget: int = 1_000_000, workers: int = 1,
     want: int = 1,
-) -> list[OrbitSelection]:
-    """Search for 4-block families of order v whose first block is skew.
-
-    sizes = (k0, k1, k2, k3) with k0 = (v-1)/2; the skew constraint is
-    structural: block 0 takes exactly one orbit from each negation pair.
-    The result feeds directly into the Goethals-Seidel assembly.
-    `budget`, `workers`, `want` and `seed` act as in search_sds.
-    """
+) -> Callable[[int], list[OrbitSelection]]:
+    """search_skew_gs up to the search, as plan_sds is to search_sds."""
     sizes = tuple(sizes)
     if len(sizes) != 4:
         raise ValueError("need exactly 4 block sizes")
@@ -296,5 +295,18 @@ def search_skew_gs(
     lam0 = sum(sizes) - v
     if sds.derive_lambda(v, sizes) != lam0:
         raise ValueError("sizes do not admit an order-v family")
-    return _search(v, sizes, lam0, q, budget, seed, workers, want, True)
+    return _plan(v, sizes, lam0, q, budget, workers, want, True)
 
+
+def search_skew_gs(
+    v: int, sizes: Sequence[int], q: int, budget: int = 1_000_000, seed: int = 0,
+    workers: int = 1, want: int = 1,
+) -> list[OrbitSelection]:
+    """Search for 4-block families of order v whose first block is skew.
+
+    sizes = (k0, k1, k2, k3) with k0 = (v-1)/2; the skew constraint is
+    structural: block 0 takes exactly one orbit from each negation pair.
+    The result feeds directly into the Goethals-Seidel assembly.
+    `budget`, `workers`, `want` and `seed` act as in search_sds.
+    """
+    return plan_skew_gs(v, sizes, q, budget, workers, want)(seed)

@@ -246,8 +246,19 @@ class TestDecimalTokens:
             (MINIMAL, "block 0 3", "block 0 0_3", 7),
             (ORBIT, "h=2", "h=+2", 5),
             (ORBIT, "reps 1\nend", "reps 0_1\nend", 7),
+            (MINIMAL, "k=2,2,2", "k=2,,2", 2),
+            (MINIMAL, "lambda=1", "lambda=-", 2),
+            (MINIMAL, "block 0 2", "block 0 5-3", 6),
+            (ORBIT, "q=3", "q=--3", 5),
         ]
         for text, old, new, lineno in cases:
             with pytest.raises(catalog.CatalogParseError) as exc:
                 catalog.load_catalog(text.replace(old, new))
             assert exc.value.lineno == lineno, new
+
+    @pytest.mark.parametrize("token", ["", "-", "5-3", "--5"])
+    def test_empty_and_misplaced_signs_are_named(self, token):
+        # int() would raise its own "invalid literal" message
+        with pytest.raises(ValueError, match="^not decimal integers: "):
+            catalog.decimals(["1", token])
+        assert catalog.decimals(["-5", "0", "12"]) == (-5, 0, 12)

@@ -289,6 +289,28 @@ class TestSearch:
         code, _, err = run(capsys, "search", "13", "3,2", "--q", "3")
         assert code == cli.EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("argv", [
+        ["19", "9,7,x", "--q", "3"],
+        ["19", "9,7,6", "--q", "4"],
+        ["21", "9,7,6", "--q", "3"],
+        ["19", "8,9,7,7", "--q", "3", "--skew-gs"],
+    ], ids=["sizes", "q-not-prime", "no-lambda", "skew-k0"])
+    def test_rejected_input_prints_no_seed(self, capsys, argv):
+        # without --seed, input that is rejected leaves stdout empty
+        code, out, err = run(capsys, "search", *argv)
+        assert code == cli.EXIT_BAD_INPUT
+        assert err.startswith("error: ")
+        assert out == ""
+
+    def test_rejected_input_creates_no_out_file(self, capsys, tmp_path):
+        out_file = tmp_path / "found.txt"
+        code, out, _ = run(
+            capsys, "search", "19", "9,7,x", "--q", "3", "--out", str(out_file)
+        )
+        assert code == cli.EXIT_BAD_INPUT
+        assert out == ""
+        assert not out_file.exists()
+
     def test_seed_printed_when_omitted(self, capsys):
         code, out, _ = run(
             capsys, "search", "19", "9,7,6", "--q", "3", "--budget", "1000"
@@ -322,8 +344,13 @@ class TestIntegers:
         SEARCH + ["--workers", " 2"],
         SEARCH + ["--want", "1_0"],
         ["verify", "--id", "appx-11-4-4-3", "--lambda", "+4"],
+        ["params", "-"],
+        ["params", "5-3"],
+        ["search", "19", "9,7,6", "--q", "3", "--seed", ""],
+        ["search", "19", "9,7,6", "--q=--3", "--seed", "1"],
     ], ids=["params-underscore", "params-plus", "params-arabic-indic", "v", "q",
-            "budget", "seed", "workers-space", "want", "lambda"])
+            "budget", "seed", "workers-space", "want", "lambda", "params-minus",
+            "params-inner-minus", "seed-empty", "q-double-minus"])
     def test_option_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -332,7 +359,8 @@ class TestIntegers:
         assert "not decimal integers" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("sizes", ["9,7,+6", "9,7_0,6", "9, 7,6", "9,7,\u0666"])
+    @pytest.mark.parametrize("sizes", ["9,7,+6", "9,7_0,6", "9, 7,6", "9,7,\u0666",
+                                       ",", "9,-,6", "9,5-3,6", "9,--5,6"])
     def test_sizes_token_is_bad_input(self, capsys, sizes):
         code, out, err = run(capsys, "search", "19", sizes, "--q", "3", "--seed", "1")
         assert code == cli.EXIT_BAD_INPUT

@@ -533,6 +533,35 @@ class TestLeaderDetection:
                 fam = sds.compose_with_paley_todd(fam)
             assert hadamard._gs_shape(hadamard.goethals_seidel(*fam.blocks)) is not None, eid
 
+    def test_generator_and_recogniser_agree(self, entries):
+        # _gs_shape reads goethals_seidel's row-0 chunks back as leaders,
+        # with sign +1 on the diagonal and -1 elsewhere, except that a
+        # constant chunk takes +1
+        from sdskit.catalog import entry_by_id
+
+        rng = random.Random(37)
+        families = [
+            [sds.Block(v, rng.choice([0, (1 << v) - 1, rng.getrandbits(v)]))
+             for _ in range(4)]
+            for v in range(1, 32, 2)
+            for _ in range(10)
+        ]
+        for eid in ("gs956-family1", "gs956-family2", "gs956-family3"):
+            fam = entry_by_id(entries, eid).family
+            families.append(list(sds.compose_with_paley_todd(fam).blocks))
+        for k in range(1, 7):
+            families.append(list(entry_by_id(entries, f"gs1324-family{k}").family.blocks))
+        for blocks in families:
+            v = blocks[0].v
+            full = (1 << v) - 1
+            m = hadamard.goethals_seidel(*blocks)
+            leaders = [[(m.rows[b * v] >> (c * v)) & full for c in range(4)]
+                       for b in range(4)]
+            signs = [[1 if b == c or leaders[b][c] in (0, full) else -1
+                      for c in range(4)] for b in range(4)]
+            assert all(leaders[b][b] == blocks[0].mask for b in range(4))
+            assert hadamard._gs_shape(m) == (v, leaders, signs)
+
     def test_order_28_flips(self):
         blocks = [sds.Block.from_iterable(7, b) for b in SKEW_GS_FAMILIES[3][1]]
         m = hadamard.goethals_seidel(*blocks)

@@ -30,6 +30,19 @@ class TestBlock:
         assert b.translate(2).members() == (2, 3, 5)
         assert b.scale(2).members() == (0, 2, 6)
         assert b.negate().members() == (0, 4, 6)
+        # translate and difference_counts reduce their arguments mod v
+        rng = random.Random(3)
+        for v in range(1, 11):
+            for _ in range(20):
+                members = {x for x in range(v) if rng.random() < 0.5}
+                b = Block.from_iterable(v, members)
+                for t in range(-2 * v, 2 * v + 1):
+                    assert set(b.translate(t).members()) == {(x + t) % v for x in members}
+                residues = [-2 * v - 1, -v, -1, v, 2 * v + 3]
+                assert b.difference_counts(residues) == [
+                    sum((a - c) % v == r % v for a in members for c in members)
+                    for r in residues
+                ]
 
     def test_negate_matches_definition(self):
         for v in range(1, 11):
