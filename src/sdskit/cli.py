@@ -126,10 +126,7 @@ def cmd_search(args) -> int:
         else:
             run = search.plan_sds(sds.ParameterSet(args.v, sizes, lam), args.q, **counts)
     except search.InfeasibleError as exc:
-        print("infeasible for the orbit method:")
-        for r in exc.reasons:
-            print(f"  {r}")
-        return EXIT_BAD_INPUT
+        raise ValueError(f"infeasible for the orbit method: {exc}") from None
     # --out opens after the checks (bad input makes no file), before the search
     with open(args.out, "a+", encoding="ascii") if args.out else nullcontext() as fh:
         taken = set()

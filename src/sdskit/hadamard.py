@@ -6,7 +6,8 @@ move whole as sds.bit_text text, and every v-bit rotation is
 sds.rotations.  One step rule (_gs_rows) both builds the Goethals-Seidel
 array and recognises its rows: a matrix of that shape is certified from
 its four block leaders (_gs_shape); any other matrix row pair by row
-pair, with skewness checked as row i XOR column i.
+pair, with skewness read as row i XOR column i, the columns coming from
+sds.bit_columns.
 """
 
 from __future__ import annotations
@@ -152,8 +153,12 @@ def is_hadamard(m: SignMatrix) -> bool:
     x 4 chunks x v popcounts in place of n(n-1)/2 row pairs.  A matrix
     without the shape takes the row-pair loop.
     """
+    return _orthogonal(m, _gs_shape(m))
+
+
+def _orthogonal(m: SignMatrix, shape) -> bool:
+    """is_hadamard of m, given shape = _gs_shape(m)."""
     n = m.n
-    shape = _gs_shape(m)
     if shape is not None:
         v, x, s = shape
         for b in range(4):
@@ -185,8 +190,12 @@ def is_hadamard(m: SignMatrix) -> bool:
 
 
 def is_skew_hadamard(m: SignMatrix) -> bool:
-    """True iff Hadamard with M + M^T = 2I: each row i, in ascending order,
-    has bit i clear and XORs with column i to every other bit.
+    """True iff Hadamard with M + M^T = 2I.
+
+    A matrix without the Goethals-Seidel shape is skew iff each row i, in
+    ascending order, has bit i clear and XORs with column i to every other
+    bit; the columns come from sds.bit_columns, and the first bad row ends
+    the test.
 
     A Goethals-Seidel-shaped matrix (see _gs_shape) has entry
     (bv+r, cv+j) = bit j - s[b][c]*r of x[b][c], so M + M^T = 2I reduces to
@@ -199,7 +208,8 @@ def is_skew_hadamard(m: SignMatrix) -> bool:
     - with mixed signs, x[b][c][d] != x[c][b][e] for all (d, e), since
       (r, j) -> (j-r, j+r) is onto for odd v: both leaders are constant
       and complementary.
-    Either way the test then ends in is_hadamard.
+    Either way the test then ends in is_hadamard's orthogonality check, on
+    the shape already computed.
     """
     n = m.n
     shape = _gs_shape(m)
@@ -221,11 +231,11 @@ def is_skew_hadamard(m: SignMatrix) -> bool:
                     return False
     else:
         full = (1 << n) - 1
-        columns = zip(*(bit_text(r, n) for r in m.rows))
+        columns = sds.bit_columns(m.rows, n)
         for i, (row, column) in enumerate(zip(m.rows, columns)):
-            if (row >> i) & 1 or row ^ from_bit_text("".join(column)) != full ^ (1 << i):
+            if (row >> i) & 1 or row ^ column != full ^ (1 << i):
                 return False
-    return is_hadamard(m)
+    return _orthogonal(m, shape)
 
 
 class BuildError(ValueError):

@@ -1,12 +1,13 @@
 """Supplementary difference sets: blocks, parameter sets, the difference
 verifier, parameter enumeration, and block-level predicates.  sds owns the
-package's packed bits: mask rotation (rotations) and bit text (bit_text)."""
+package's packed bits: mask rotation (rotations), bit text (bit_text) and
+the columns of a bit matrix (bit_columns)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import zmod
 
@@ -29,6 +30,24 @@ def bit_text(x: int, n: int) -> str:
 def from_bit_text(text: str) -> int:
     """The inverse of bit_text: character i of text is bit i."""
     return int(text[::-1], 2)
+
+
+# _PLANES[b] maps a byte to b"1" if its bit b is set, else b"0"
+_PLANES = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+
+
+def bit_columns(rows: Sequence[int], n: int) -> Iterator[int]:
+    """The columns of the n x n bit matrix whose row j is rows[j]: yields,
+    for i = 0..n-1 in order, the int whose bit j is bit i of rows[j].
+
+    The rows are laid out once as little-endian bytes, last row first, so
+    byte i//8 of every row is one strided slice, and its bit plane i%8 is
+    one translate into text with row n-1 first: int(text, 2) is column i.
+    """
+    w = (n + 7) >> 3
+    flat = b"".join([r.to_bytes(w, "little") for r in reversed(rows)])
+    for i in range(n):
+        yield int(flat[i >> 3::w].translate(_PLANES[i & 7]), 2)
 
 
 def least_translate_key(v: int, members: Sequence[int]) -> int:

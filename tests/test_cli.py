@@ -266,12 +266,13 @@ class TestSearch:
         assert out_file.read_text() == "not a corpus\n"
 
     def test_infeasible(self, capsys):
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "search", "107", "49,48,46", "--q", "53", "--seed", "0"
         )
         assert code == cli.EXIT_BAD_INPUT
-        assert "infeasible" in out
-        assert out.count("divides neither") == 3
+        assert out == ""
+        assert err.startswith("error: infeasible for the orbit method: ")
+        assert err.count("divides neither") == 3
 
     def test_q_not_dividing_group_order(self, capsys):
         code, _, err = run(

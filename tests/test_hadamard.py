@@ -579,6 +579,64 @@ class TestLeaderDetection:
             assert hadamard._gs_shape(_known_hadamard(n)) is None
 
 
+def _swapped(m, a, b):
+    """P M P^T for the transposition P of a and b: rows a and b swapped,
+    then columns a and b."""
+    rows = list(m.rows)
+    rows[a], rows[b] = rows[b], rows[a]
+    both = 1 << a | 1 << b
+    rows = [r ^ both if (r >> a ^ r >> b) & 1 else r for r in rows]
+    return SignMatrix(m.n, tuple(rows))
+
+
+class TestSingleShape:
+    def test_is_skew_hadamard_finds_the_shape_once(self, monkeypatch):
+        blocks = [sds.Block.from_iterable(7, b) for b in SKEW_GS_FAMILIES[3][1]]
+        m = hadamard.goethals_seidel(*blocks)
+        calls = []
+        gs_shape = hadamard._gs_shape
+        monkeypatch.setattr(hadamard, "_gs_shape", lambda m: calls.append(1) or gs_shape(m))
+        assert hadamard.is_skew_hadamard(m)
+        assert len(calls) == 1
+        assert hadamard.is_hadamard(m)
+        assert len(calls) == 2
+
+
+class TestGenericSkewPath:
+    def test_swapped_gs1324(self, entries):
+        # a skew-Hadamard matrix of the paper's order without the shape;
+        # n = 1324 is 4 mod 8, so the flips cross byte-plane boundaries
+        from sdskit.catalog import entry_by_id
+
+        fam = entry_by_id(entries, "gs1324-family1").family
+        m = _swapped(hadamard.goethals_seidel(*fam.blocks), 5, 700)
+        n = m.n
+        assert hadamard._gs_shape(m) is None
+        assert hadamard.is_skew_hadamard(m)
+        for cells in ([(n - 1, n - 2)], [(7, 8)], [(8, 7)], [(n - 1, n - 1)],
+                      [(3, 900), (900, 3)]):
+            assert not hadamard.is_skew_hadamard(_flipped(m, cells)), cells
+        # rows 5 and 700 swapped back alone: Hadamard, and once the row with
+        # a -1 on the diagonal is negated, a plus diagonal but not skew
+        rows = list(m.rows)
+        rows[5], rows[700] = rows[700], rows[5]
+        rows = [r ^ (1 << n) - 1 if (r >> i) & 1 else r for i, r in enumerate(rows)]
+        h = SignMatrix(n, tuple(rows))
+        assert hadamard.is_hadamard(h) and not any((r >> i) & 1 for i, r in enumerate(rows))
+        assert any(h.entry(i, j) == h.entry(j, i) for i in (5, 700) for j in range(n) if j != i)
+        assert not hadamard.is_skew_hadamard(h)
+
+    def test_plus_diagonal_hadamard_not_skew(self):
+        # Sylvester matrices with each column scaled to a + diagonal entry
+        # (at order 2 this gives a skew-Hadamard matrix)
+        for n in (4, 8, 16, 32, 64):
+            rows = _known_hadamard(n).rows
+            neg = sum(1 << i for i, r in enumerate(rows) if (r >> i) & 1)
+            h = SignMatrix(n, tuple(r ^ neg for r in rows))
+            assert hadamard.is_hadamard(h)
+            assert not hadamard.is_skew_hadamard(h) and not _skew_oracle(h), n
+
+
 class TestOrderLine:
     def test_read_rejects_non_decimal_order(self, tmp_path):
         # int() reads the first three heads as 12

@@ -60,6 +60,39 @@ class TestBlock:
                 assert sds.key_members(v, key) == want
 
 
+def _transpose(rows, n):
+    """Column i has bit j = bit i of rows[j], entry by entry."""
+    return [sum(((rows[j] >> i) & 1) << j for j in range(n)) for i in range(n)]
+
+
+class TestBitColumns:
+    def test_matches_transpose(self):
+        # n below 8, on multiples of 8 and one past them; comparing lists
+        # also checks that exactly n columns come out
+        rng = random.Random(11)
+        for n in range(1, 71):
+            full = (1 << n) - 1
+            for rows in (
+                [rng.getrandbits(n) for _ in range(n)],
+                [0] * n,
+                [full] * n,
+                [rng.getrandbits(n) | 1 << (n - 1) for _ in range(n)],
+            ):
+                assert list(sds.bit_columns(rows, n)) == _transpose(rows, n), n
+
+    def test_paper_orders(self):
+        rng = random.Random(12)
+        for n in (956, 1324):
+            rows = [rng.getrandbits(n) | (k & 1) << (n - 1) for k in range(n)]
+            assert list(sds.bit_columns(rows, n)) == _transpose(rows, n), n
+            full = (1 << n) - 1
+            assert list(sds.bit_columns([full] * n, n)) == [full] * n
+            assert list(sds.bit_columns([0] * n, n)) == [0] * n
+            # the identity is its own transpose
+            identity = [1 << k for k in range(n)]
+            assert list(sds.bit_columns(identity, n)) == identity
+
+
 class TestDifferenceCounts:
     def test_flat_family_v7(self):
         # three 2-element blocks, every residue hit once
