@@ -13,6 +13,9 @@ against the source tables:
     compose paley_todd <entry-id>
     end
 
+Each of params, status, provenance, orbit and compose appears at most once
+in an entry, and a params or orbit line holds exactly its keys, each once.
+
 Verified entries are re-verified on load; a mismatch is a hard failure.
 Orbit entries expand through zmod.OrbitSystem, which owns the orbit masks.
 """
@@ -27,6 +30,7 @@ from typing import Optional
 from . import sds, zmod
 
 STATUSES = ("verified", "open", "external")
+_ONCE = frozenset({"params", "status", "provenance", "orbit", "compose"})
 
 
 class CatalogParseError(ValueError):
@@ -70,6 +74,15 @@ def decimals(tokens: list[str]) -> tuple[int, ...]:
     if not all(t.removeprefix("-").isdigit() and t.isascii() for t in tokens):
         raise ValueError(f"not decimal integers: {' '.join(tokens)!r}")
     return tuple(map(int, tokens))
+
+
+def _fields(text: str, keys: tuple[str, ...]) -> list[str]:
+    """The values of key=value tokens in the order of `keys`, each key once."""
+    tokens = text.split()
+    fields = dict(t.split("=", 1) for t in tokens if "=" in t)
+    if len(tokens) != len(keys) or fields.keys() != set(keys):
+        raise ValueError("need exactly " + " ".join(k + "=" for k in keys))
+    return [fields[k] for k in keys]
 
 
 def _parse_ints(text: str, lineno: int) -> tuple[int, ...]:
@@ -181,13 +194,14 @@ def load_catalog(text: str, verify: bool = True) -> list[CatalogEntry]:
             pending_reps = None
         elif cur is None:
             raise CatalogParseError(lineno, f"unexpected {word!r} outside entry")
+        elif word in _ONCE and word in cur:
+            raise CatalogParseError(lineno, f"second {word} line in entry")
         elif word == "params":
-            fields = dict(t.split("=", 1) for t in rest.split() if "=" in t)
             try:
-                v, lam = decimals([fields["v"], fields["lambda"]])
-                ks = decimals(fields["k"].split(","))
-                cur["params"] = sds.ParameterSet(v, ks, lam)
-            except (KeyError, ValueError) as exc:
+                v, ks, lam = _fields(rest, ("v", "k", "lambda"))
+                v, lam = decimals([v, lam])
+                cur["params"] = sds.ParameterSet(v, decimals(ks.split(",")), lam)
+            except ValueError as exc:
                 raise CatalogParseError(lineno, f"bad params line: {exc}")
         elif word == "status":
             if rest not in STATUSES:
@@ -198,11 +212,10 @@ def load_catalog(text: str, verify: bool = True) -> list[CatalogEntry]:
         elif word == "block":
             cur.setdefault("blocks", []).append(_parse_ints(rest, lineno))
         elif word == "orbit":
-            fields = dict(t.split("=", 1) for t in rest.split() if "=" in t)
             try:
-                cur["orbit_hq"] = decimals([fields["h"], fields["q"]])
-            except (KeyError, ValueError):
-                raise CatalogParseError(lineno, "orbit line needs h= and q=")
+                cur["orbit"] = decimals(_fields(rest, ("h", "q")))
+            except ValueError as exc:
+                raise CatalogParseError(lineno, f"bad orbit line: {exc}")
             pending_reps = []
             cur["reps"] = pending_reps
         elif word == "reps":
@@ -224,11 +237,7 @@ def load_catalog(text: str, verify: bool = True) -> list[CatalogEntry]:
                 status=cur["status"],
                 provenance=cur["provenance"],
                 blocks=tuple(cur["blocks"]) if "blocks" in cur else None,
-                orbit=(
-                    (*cur["orbit_hq"], tuple(cur["reps"]))
-                    if "orbit_hq" in cur
-                    else None
-                ),
+                orbit=(*cur["orbit"], tuple(cur["reps"])) if "orbit" in cur else None,
                 compose=cur.get("compose"),
             )
             if sum(x is not None for x in (entry.blocks, entry.orbit, entry.compose)) > 1:

@@ -3,11 +3,11 @@
 All arithmetic is on packed sign bits (bit set = -1 entry); verification
 is popcount-based and certificate-grade, with no floating point.  Rows
 move whole as sds.bit_text text, and every v-bit rotation is
-sds.rotations.  One step rule (_gs_rows) both builds the Goethals-Seidel
-array and recognises its rows: a matrix of that shape is certified from
-its four block leaders (_gs_shape); any other matrix row pair by row
-pair, with skewness read as row i XOR column i, the columns coming from
-sds.bit_columns.
+sds.rotations.  One step rule (_gs_rows) and one sign table (_SIGNS)
+both build the Goethals-Seidel array and recognise its rows: a matrix
+laid out as goethals_seidel builds it is certified from its four block
+leaders (_gs_shape); any other matrix row pair by row pair, with skewness
+read as row i XOR column i, the columns coming from sds.bit_columns.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ class SignMatrix:
         return [bit_text(r, self.n).translate(_TO_SIGNS) for r in self.rows]
 
 
+# The step sign of chunk c in block row b of the Goethals-Seidel array: +1
+# (circulant) on the diagonal blocks, -1 (back-circulant) elsewhere.
+_SIGNS = tuple(tuple(1 if b == c else -1 for c in range(4)) for b in range(4))
+
+
 def _gs_rows(v: int, row: int, signs):
     """A Goethals-Seidel block row from its leader `row`: v rows, each the
     one before it with v-bit chunk c rotated left by one (bit k to k+1,
@@ -76,9 +81,8 @@ def goethals_seidel(a0: Block, a1: Block, a2: Block, a3: Block) -> SignMatrix:
 
     Row r of Z_i is a_i translated by r, row r of Z_i R is -a_i translated
     by -1-r (a_i with its bits reversed, rotated right by r), and row r of
-    Z_i'R is a_i translated by -1-r.  So each block row is _gs_rows of its
-    leader row (r = 0), with sign +1 on the Z0 chunk and -1 on the other
-    three.
+    Z_i'R is a_i translated by -1-r.  So each block row b is _gs_rows of
+    its leader row (r = 0) with signs _SIGNS[b].
     """
     v = a0.v
     if not (a1.v == a2.v == a3.v == v):
@@ -96,62 +100,50 @@ def goethals_seidel(a0: Block, a1: Block, a2: Block, a3: Block) -> SignMatrix:
     out = []
     for b, chunks in enumerate(leaders):
         row = sum(x << (c * v) for c, x in enumerate(chunks))
-        out += _gs_rows(v, row, [1 if c == b else -1 for c in range(4)])
+        out += _gs_rows(v, row, _SIGNS[b])
     return SignMatrix(4 * v, tuple(out))
 
 
 def _gs_shape(m: SignMatrix):
-    """The block leaders of a Goethals-Seidel-shaped matrix, or None.
+    """(v, x) when m is laid out as goethals_seidel builds it, else None.
 
-    m has the shape when n = 4v with v odd and each block row b is _gs_rows
-    of its leader row bv with signs s[b], fixed for the block row.  Then
-    chunk c of row bv+r is x[b][c] rotated left by s[b][c]*r, where x[b][c]
-    is chunk c of the leader row bv.  Returns (v, x, s), a constant chunk
-    taking sign +1 as both rotations fix it, or None when a row breaks the
-    pattern.  Every goethals_seidel output has the shape, with s = +1 on
-    the Z0 blocks and s = -1 on the others.
+    That is, n = 4v with v odd and each block row b is _gs_rows of its
+    leader row bv with signs _SIGNS[b]; x[b][c] is chunk c of row bv.  No
+    sign is read from m: a matrix with the array's layout but other signs
+    (a signed block permutation of it, say) has no shape here and takes
+    the row-pair path.
     """
     v, rem = divmod(m.n, 4)
     if rem or v % 2 == 0:
         return None
+    blocks = [m.rows[b * v:(b + 1) * v] for b in range(4)]
     # rotation keeps popcounts, so each block row has one row popcount;
     # this rejects most matrices without the shape before the row steps
-    for b in range(4):
-        if len({r.bit_count() for r in m.rows[b * v:(b + 1) * v]}) > 1:
-            return None
+    if any(len({r.bit_count() for r in rows}) > 1 for rows in blocks):
+        return None
+    if any(tuple(_gs_rows(v, rows[0], _SIGNS[b])) != rows
+           for b, rows in enumerate(blocks)):
+        return None
     full = (1 << v) - 1
-    x, s = [], []
-    for b in range(4):
-        rows = m.rows[b * v:(b + 1) * v]
-        lead = [(rows[0] >> (c * v)) & full for c in range(4)]
-        second = rows[1] if v > 1 else rows[0]
-        signs = [
-            1 if (second >> (c * v)) & full == rotations(xc, v, [1])[0] else -1
-            for c, xc in enumerate(lead)
-        ]
-        if tuple(_gs_rows(v, rows[0], signs)) != rows:
-            return None
-        x.append(lead)
-        s.append(signs)
-    return v, x, s
+    return v, [[(rows[0] >> (c * v)) & full for c in range(4)] for rows in blocks]
 
 
 def is_hadamard(m: SignMatrix) -> bool:
     """Exact orthogonality check: every distinct row pair has dot product
     zero, computed as n - 2*popcount(xor).
 
-    A Goethals-Seidel-shaped matrix (see _gs_shape) is certified from its
-    leaders.  A chunk's popcount is unchanged when both operands rotate
-    alike, so chunk c of rows bv+r and b'v+t contributes
-    v - 2*popcount(x[b][c] ^ rot(x[b'][c], s[b'][c]*k)), with k = t-r when
-    s[b][c] = s[b'][c] and k = t+r when the signs differ.  The dot product
-    is therefore F(t-r) + H(t+r), F summing the equal-sign chunks and H the
-    others.  For odd v, (r, t) -> (t-r, t+r) is a bijection of Z_v^2, so
-    the rows are orthogonal iff, on each diagonal block pair, F(0) = n and
-    F(d) = 0 for d != 0 (H is empty there), and on each off-diagonal block
-    pair F and H are each constant with F + H = 0.  That is 10 block pairs
-    x 4 chunks x v popcounts in place of n(n-1)/2 row pairs.  A matrix
-    without the shape takes the row-pair loop.
+    A matrix laid out as goethals_seidel builds it (see _gs_shape) is
+    certified from its leaders.  With s = _SIGNS, a chunk's popcount is
+    unchanged when both operands rotate alike, so chunk c of rows bv+r and
+    b'v+t contributes v - 2*popcount(x[b][c] ^ rot(x[b'][c], s[b'][c]*k)),
+    with k = t-r when s[b][c] = s[b'][c] and k = t+r when the signs differ.
+    The dot product is therefore F(t-r) + H(t+r), F summing the equal-sign
+    chunks and H the others.  For odd v, (r, t) -> (t-r, t+r) is a
+    bijection of Z_v^2, so the rows are orthogonal iff, on each diagonal
+    block pair, F(0) = n and F(d) = 0 for d != 0 (H is empty there), and
+    on each off-diagonal block pair F and H are each constant with
+    F + H = 0.  That is 10 block pairs x 4 chunks x v popcounts in place of
+    n(n-1)/2 row pairs.  Any other matrix takes the row-pair loop.
     """
     return _orthogonal(m, _gs_shape(m))
 
@@ -160,15 +152,15 @@ def _orthogonal(m: SignMatrix, shape) -> bool:
     """is_hadamard of m, given shape = _gs_shape(m)."""
     n = m.n
     if shape is not None:
-        v, x, s = shape
+        v, x = shape
         for b in range(4):
             for b2 in range(b, 4):
                 f, h = [0] * v, [0] * v
                 for c in range(4):
-                    # x[b2][c] rotated by s[b2][c]*k for k = 0..v-1; left by
-                    # v-k is right by k
-                    shifts = range(v) if s[b2][c] == 1 else range(v, 0, -1)
-                    acc = f if s[b][c] == s[b2][c] else h
+                    # x[b2][c] rotated by _SIGNS[b2][c]*k for k = 0..v-1;
+                    # left by v-k is right by k
+                    shifts = range(v) if _SIGNS[b2][c] == 1 else range(v, 0, -1)
+                    acc = f if _SIGNS[b][c] == _SIGNS[b2][c] else h
                     xc = x[b][c]
                     acc[:] = [
                         t + v - 2 * (xc ^ y).bit_count()
@@ -192,43 +184,27 @@ def _orthogonal(m: SignMatrix, shape) -> bool:
 def is_skew_hadamard(m: SignMatrix) -> bool:
     """True iff Hadamard with M + M^T = 2I.
 
-    A matrix without the Goethals-Seidel shape is skew iff each row i, in
-    ascending order, has bit i clear and XORs with column i to every other
-    bit; the columns come from sds.bit_columns, and the first bad row ends
-    the test.
+    A matrix laid out as goethals_seidel builds it (see _gs_shape) has
+    entry (bv+r, cv+j) = bit j - r of x[b][b] on the diagonal blocks and
+    bit j + r of x[b][c] off them, so M + M^T = 2I holds iff each diagonal
+    leader is skew (sds.is_skew: bit 0 clear, bit d set iff bit -d clear)
+    and x[b][c] = ~x[c][b] for b < c.  The test then ends in is_hadamard's
+    orthogonality check, on the shape already computed.
 
-    A Goethals-Seidel-shaped matrix (see _gs_shape) has entry
-    (bv+r, cv+j) = bit j - s[b][c]*r of x[b][c], so M + M^T = 2I reduces to
-    relations between leaders, with full the v one bits and neg(x) the
-    bit reflection d -> -d:
-    - a diagonal block has sign +1, bit 0 clear and x ^ neg(x) = full ^ 1
-      (sign -1 makes the block symmetric);
-    - an off-diagonal pair with signs ++ has x[b][c] = ~neg(x[c][b]), and
-      with signs -- has x[b][c] = ~x[c][b];
-    - with mixed signs, x[b][c][d] != x[c][b][e] for all (d, e), since
-      (r, j) -> (j-r, j+r) is onto for odd v: both leaders are constant
-      and complementary.
-    Either way the test then ends in is_hadamard's orthogonality check, on
-    the shape already computed.
+    Any other matrix is skew iff each row i, in ascending order, has bit i
+    clear and XORs with column i to every other bit; the columns come from
+    sds.bit_columns, and the first bad row ends the test.
     """
     n = m.n
     shape = _gs_shape(m)
     if shape is not None:
-        v, x, s = shape
+        v, x = shape
         full = (1 << v) - 1
         for b in range(4):
-            if s[b][b] != 1 or not sds.is_skew(Block(v, x[b][b])):
+            if not sds.is_skew(Block(v, x[b][b])):
                 return False
-            for c in range(b + 1, 4):
-                xbc, xcb = x[b][c], x[c][b]
-                if s[b][c] == s[c][b] == 1:
-                    want = Block(v, xcb).negate().mask ^ full
-                elif s[b][c] == s[c][b]:
-                    want = xcb ^ full
-                else:
-                    want = xcb ^ full if xcb in (0, full) else -1
-                if xbc != want:
-                    return False
+            if any(x[b][c] != x[c][b] ^ full for c in range(b + 1, 4)):
+                return False
     else:
         full = (1 << n) - 1
         columns = sds.bit_columns(m.rows, n)

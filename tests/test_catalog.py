@@ -262,3 +262,34 @@ class TestDecimalTokens:
         with pytest.raises(ValueError, match="^not decimal integers: "):
             catalog.decimals(["1", token])
         assert catalog.decimals(["-5", "0", "12"]) == (-5, 0, 12)
+
+
+ONE_ORBIT = """\
+entry once
+params v=7 k=3 lambda=1
+status verified
+provenance quadratic residues
+orbit h=2 q=3
+reps 1
+end
+"""
+
+
+@pytest.mark.parametrize("old, new, lineno", [
+    ("status verified\n", "status verified\nstatus open\n", 4),
+    ("provenance quadratic residues\n", "provenance a\nprovenance b\n", 5),
+    ("params v=7 k=3 lambda=1\n", "params v=7 k=3 lambda=1\nparams v=7 k=3 lambda=1\n", 3),
+    ("reps 1\n", "reps 1\norbit h=2 q=3\nreps 3\n", 7),
+    ("orbit h=2 q=3\nreps 1\n", "compose paley_todd a\ncompose paley_todd b\n", 6),
+    ("lambda=1", "lambda=1 foo", 2),
+    ("lambda=1", "lambda=1 x=5", 2),
+    ("lambda=1", "lambda=1 v=7", 2),
+    ("q=3", "q=3 h=4", 5),
+])
+def test_singleton_lines_and_exact_keys(old, new, lineno):
+    # a second singleton line, or a params/orbit line with a stray,
+    # unknown or repeated token, would otherwise pass or be overridden
+    assert catalog.load_catalog(ONE_ORBIT)[0].family.member_lists() == ((1, 2, 4),)
+    with pytest.raises(catalog.CatalogParseError) as exc:
+        catalog.load_catalog(ONE_ORBIT.replace(old, new), verify=False)
+    assert exc.value.lineno == lineno

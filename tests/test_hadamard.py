@@ -401,8 +401,9 @@ def _leader(rng, v):
 
 
 def _skew_pattern(rng, v):
-    """Leaders and signs that give M + M^T = 2I: a skew diagonal leader of
-    sign +1, and each off-diagonal pair related as its two signs require."""
+    """Leaders and signs for _block_matrix that give M + M^T = 2I: a skew
+    diagonal leader of sign +1, and each off-diagonal pair related as its
+    two signs require."""
     full = (1 << v) - 1
     leaders = [[0] * 4 for _ in range(4)]
     signs = [[1] * 4 for _ in range(4)]
@@ -414,7 +415,7 @@ def _skew_pattern(rng, v):
             x = full ^ (sds.Block(v, y).negate().mask if s == t == 1 else y)
             leaders[b][c], leaders[c][b] = x, y
             signs[b][c], signs[c][b] = s, t
-    return _block_matrix(v, leaders, signs)
+    return leaders, signs
 
 
 def _signed_block_permutation(rng, v):
@@ -430,7 +431,7 @@ def _signed_block_permutation(rng, v):
 
 def _transformed(rng, m, skew_keeping):
     """P M Q for random signed block permutations P and Q, with Q = P^T when
-    skew_keeping.  Each keeps the Hadamard property and the leader shape (a
+    skew_keeping.  Each keeps the Hadamard property and the block layout (a
     reflection flips a block's sign); Q = P^T also keeps M + M^T = 2I."""
     v = m.n // 4
     rows = _signed_block_permutation(rng, v)
@@ -450,6 +451,9 @@ def _rotate_chunk(m, b, c, k):
         x = (rows[i] >> (c * v)) & full
         rows[i] ^= (x ^ sds.Block(v, x).translate(k).mask) << (c * v)
     return SignMatrix(m.n, tuple(rows))
+
+
+BOTH_OUTCOMES = {(p, ok) for p in ("hadamard", "skew") for ok in (True, False)}
 
 
 class TestLeaderCertificate:
@@ -473,52 +477,62 @@ class TestLeaderCertificate:
             assert hadamard.is_hadamard(m) == h
             assert hadamard.is_skew_hadamard(m) == skew
             seen |= {("hadamard", h), ("skew", skew)}
-        assert seen == {(p, ok) for p in ("hadamard", "skew") for ok in (True, False)}
+        assert seen == BOTH_OUTCOMES
 
     def test_sign_patterns_match_oracles(self):
         # 16 blocks with random signs and random, all-zero or all-one
-        # leaders, half of them drawn to meet M + M^T = 2I
+        # leaders, half of them drawn to meet M + M^T = 2I.  Only
+        # goethals_seidel's signs give the shape, but a constant chunk
+        # meets either sign, as both rotations fix it.
         rng = random.Random(29)
-        seen = set()
+        seen, seen_shaped = set(), set()
         for v in ODD_V:
+            full = (1 << v) - 1
             for k in range(60):
                 if k % 2:
-                    m = _skew_pattern(rng, v)
-                    assert _skew_entries(m)
+                    leaders, signs = _skew_pattern(rng, v)
                 else:
-                    m = _block_matrix(
-                        v,
-                        [[_leader(rng, v) for _ in range(4)] for _ in range(4)],
-                        [[rng.choice((1, -1)) for _ in range(4)] for _ in range(4)],
-                    )
-                assert hadamard._gs_shape(m) is not None
+                    leaders = [[_leader(rng, v) for _ in range(4)] for _ in range(4)]
+                    signs = [[rng.choice((1, -1)) for _ in range(4)] for _ in range(4)]
+                m = _block_matrix(v, leaders, signs)
+                if k % 2:
+                    assert _skew_entries(m)
+                shaped = all(
+                    signs[b][c] == hadamard._SIGNS[b][c] or leaders[b][c] in (0, full)
+                    for b in range(4) for c in range(4)
+                )
+                assert (hadamard._gs_shape(m) is not None) == shaped
                 h = _pair_loop(m)
                 skew = h and _skew_entries(m)
                 assert hadamard.is_hadamard(m) == h
                 assert hadamard.is_skew_hadamard(m) == skew
                 seen |= {("hadamard", h), ("skew", skew)}
-        assert seen == {(p, ok) for p in ("hadamard", "skew") for ok in (True, False)}
+                if shaped:
+                    seen_shaped |= {("hadamard", h), ("skew", skew)}
+        assert seen == seen_shaped == BOTH_OUTCOMES
 
     def test_transformed_families_match_oracles(self):
         # the skew families under signed block permutations and reflections,
-        # which give every sign pattern; two of three then get a chunk
-        # rotated in one block row, which keeps that block row's own
-        # orthogonality but may break it with the others
+        # which give every sign pattern, goethals_seidel's own among them;
+        # two of three then get a chunk rotated in one block row, which
+        # keeps that block row's own orthogonality but may break it with
+        # the others
         rng = random.Random(31)
-        seen = set()
+        seen, seen_shaped = set(), set()
         for v, blocks in SKEW_GS_FAMILIES[1:]:
             base = hadamard.goethals_seidel(*(sds.Block.from_iterable(v, b) for b in blocks))
             for k in range(600 if v == 3 else 40):
                 m = _transformed(rng, base, k % 2 == 0)
                 for _ in range(k % 3):
                     m = _rotate_chunk(m, rng.randrange(4), rng.randrange(4), rng.randrange(1, v))
-                assert hadamard._gs_shape(m) is not None
                 h = _pair_loop(m)
                 skew = h and _skew_entries(m)
                 assert hadamard.is_hadamard(m) == h
                 assert hadamard.is_skew_hadamard(m) == skew
                 seen |= {("hadamard", h), ("skew", skew)}
-        assert seen == {(p, ok) for p in ("hadamard", "skew") for ok in (True, False)}
+                if hadamard._gs_shape(m) is not None:
+                    seen_shaped |= {("hadamard", h), ("skew", skew)}
+        assert seen == seen_shaped == BOTH_OUTCOMES
 
 
 class TestLeaderDetection:
@@ -534,9 +548,7 @@ class TestLeaderDetection:
             assert hadamard._gs_shape(hadamard.goethals_seidel(*fam.blocks)) is not None, eid
 
     def test_generator_and_recogniser_agree(self, entries):
-        # _gs_shape reads goethals_seidel's row-0 chunks back as leaders,
-        # with sign +1 on the diagonal and -1 elsewhere, except that a
-        # constant chunk takes +1
+        # _gs_shape reads goethals_seidel's row-0 chunks back as leaders
         from sdskit.catalog import entry_by_id
 
         rng = random.Random(37)
@@ -557,10 +569,8 @@ class TestLeaderDetection:
             m = hadamard.goethals_seidel(*blocks)
             leaders = [[(m.rows[b * v] >> (c * v)) & full for c in range(4)]
                        for b in range(4)]
-            signs = [[1 if b == c or leaders[b][c] in (0, full) else -1
-                      for c in range(4)] for b in range(4)]
             assert all(leaders[b][b] == blocks[0].mask for b in range(4))
-            assert hadamard._gs_shape(m) == (v, leaders, signs)
+            assert hadamard._gs_shape(m) == (v, leaders)
 
     def test_order_28_flips(self):
         blocks = [sds.Block.from_iterable(7, b) for b in SKEW_GS_FAMILIES[3][1]]
